@@ -1,15 +1,11 @@
-"""Kernel throughput: columnar vs batched vs compiled vs active vs naive.
+"""Kernel throughput: columnar vs compiled vs naive.
 
 Standalone script (not a pytest-benchmark — CI needs its JSON output):
-runs the same 2-level ring point at three offered loads under all five
+runs the same 2-level ring point at three offered loads under all three
 schedulers and reports simulated cycles per wall-clock second plus the
-cross-scheduler speedups.  The solo schedulers time one seed each; the
-``batched`` cell times an 8-replica lockstep batch
-(:func:`repro.core.simulation.simulate_batch`) and reports *per-replica*
-cycles/sec — ``replicas * cycles / elapsed`` — the number comparable to
-a solo scheduler's cell, with the seed-1 replica's ``flits_moved``
-cross-checked against the solo runs.  The ``columnar`` cell times the
-same 8 seeds on the struct-of-arrays columnar engine and reports
+cross-scheduler speedups.  The bit-exact schedulers time one seed each,
+with ``flits_moved`` cross-checked between them.  The ``columnar`` cell
+times 8 seeds on the struct-of-arrays columnar engine and reports
 *aggregate* cycles·replicas/sec; its results are statistically
 equivalent rather than byte-identical, so its flit volume is gated
 against ``compiled`` within the statistical-equivalence band instead of
@@ -18,9 +14,9 @@ mid and saturated loads (the tentpole target this engine exists for).
 The three loads bracket the kernel's operating regimes:
 
 * ``low``  — almost every component idle almost every cycle; the
-  active-set scheduler's best case (it fast-forwards between misses),
-  and the compiled datapath's guard point (its finalize-built closures
-  must not cost throughput when nothing is saturated);
+  active sets' best case (the compiled scheduler fast-forwards between
+  misses), and the compiled datapath's guard point (its finalize-built
+  closures must not cost throughput when nothing is saturated);
 * ``mid``  — the knee of the latency curve, a realistic mix;
 * ``sat``  — saturation, everything busy every cycle; the compiled
   datapath's design point (flat proposal rows, fused PM updates,
@@ -37,8 +33,8 @@ carries enough to tell machine drift from a real regression.
 
 Every run records one entry in the report's ``history`` list (carried
 forward from the previous report when ``-o`` points at an existing
-file): git SHA, UTC date, mode, and per-point cycles/sec for all five
-schedulers — a throughput log across commits.  Re-running on the same
+file): git SHA, UTC date, mode, and per-point cycles/sec for every
+scheduler — a throughput log across commits.  Re-running on the same
 commit *replaces* that commit's entry for the same mode instead of
 appending a duplicate, so the log stays one entry per (sha, mode).
 ``--bench-compare`` additionally diffs the fresh measurements against
@@ -70,9 +66,9 @@ from repro.core.config import RingSystemConfig, SimulationParams, WorkloadConfig
 
 SYSTEM = RingSystemConfig(topology="3:8", cache_line_bytes=32)
 
-SCHEDULERS = ("compiled", "active", "naive")
+SCHEDULERS = ("compiled", "naive")
 
-#: Replica width for the ``batched`` and ``columnar`` cells.
+#: Replica width for the ``columnar`` cell.
 BATCH_REPLICAS = 8
 
 #: The tentpole target: columnar aggregate throughput must clear this
@@ -130,7 +126,7 @@ def measure(params: SimulationParams, repeats: int) -> dict:
         workload = WorkloadConfig(miss_rate=miss_rate, outstanding=4)
         cell: dict = {"miss_rate": miss_rate}
         samples: dict[str, list[float]] = {
-            s: [] for s in SCHEDULERS + ("batched", "columnar")
+            s: [] for s in SCHEDULERS + ("columnar",)
         }
         flits: dict[str, float] = {}
 
@@ -148,18 +144,7 @@ def measure(params: SimulationParams, repeats: int) -> dict:
                 elapsed = time.perf_counter() - start
                 samples[scheduler].append(result.cycles / elapsed)
                 check_flits(scheduler, result.flits_moved)
-            # The batched cell runs BATCH_REPLICAS seeds in lockstep;
-            # the comparable number is *per-replica* simulated cycles
-            # per second.  The first replica is the same seed the solo
-            # schedulers ran, so its flits must match theirs exactly.
-            start = time.perf_counter()
-            results = simulate_batch(
-                SYSTEM, workload, replace(params, replicas=BATCH_REPLICAS)
-            )
-            elapsed = time.perf_counter() - start
-            samples["batched"].append(BATCH_REPLICAS * results[0].cycles / elapsed)
-            check_flits("batched", results[0].flits_moved)
-            # The columnar cell runs the same seeds on the columnar
+            # The columnar cell runs BATCH_REPLICAS seeds on the columnar
             # engine; the headline number is *aggregate* simulated
             # cycles·replicas per second (its whole point is that the
             # replicas share vectorized state).  Results are only
@@ -196,11 +181,6 @@ def measure(params: SimulationParams, repeats: int) -> dict:
                 **_timing_stats(samples[scheduler]),
                 "flits_moved": int(flits[scheduler]),
             }
-        cell["batched"] = {
-            **_timing_stats(samples["batched"]),
-            "replicas": BATCH_REPLICAS,
-            "flits_moved": int(flits["batched"]),
-        }
         cell["columnar"] = {
             **_timing_stats(samples["columnar"]),
             "replicas": BATCH_REPLICAS,
@@ -209,12 +189,8 @@ def measure(params: SimulationParams, repeats: int) -> dict:
             "flit_ratio_vs_compiled": round(flit_ratio, 4),
         }
         best = {s: max(v) for s, v in samples.items()}
-        cell["speedup_compiled_vs_active"] = round(
-            best["compiled"] / best["active"], 2
-        )
-        cell["speedup_active_vs_naive"] = round(best["active"] / best["naive"], 2)
-        cell["speedup_batched_vs_compiled"] = round(
-            best["batched"] / best["compiled"], 2
+        cell["speedup_compiled_vs_naive"] = round(
+            best["compiled"] / best["naive"], 2
         )
         cell["speedup_columnar_vs_compiled"] = round(
             best["columnar"] / best["compiled"], 2
@@ -273,14 +249,14 @@ def _history_entry(report: dict) -> dict:
         "points": {
             label: {
                 scheduler: cell[scheduler]["cycles_per_sec"]
-                for scheduler in SCHEDULERS + ("batched", "columnar")
+                for scheduler in SCHEDULERS + ("columnar",)
             }
             for label, cell in report["points"].items()
         },
         "spread": {
             label: {
                 scheduler: cell[scheduler]["repeat_spread"]
-                for scheduler in SCHEDULERS + ("batched", "columnar")
+                for scheduler in SCHEDULERS + ("columnar",)
             }
             for label, cell in report["points"].items()
         },
@@ -401,14 +377,10 @@ def main(argv: "list[str] | None" = None) -> int:
         print(
             f"  {label:<{width}}  C={cell['miss_rate']:<6}"
             f"  columnar {cell['columnar']['cycles_per_sec']:>9.0f} cyc/s agg"
-            f"  batched {cell['batched']['cycles_per_sec']:>9.0f} cyc/s/rep"
             f"  compiled {cell['compiled']['cycles_per_sec']:>9.0f} cyc/s"
-            f"  active {cell['active']['cycles_per_sec']:>9.0f} cyc/s"
             f"  naive {cell['naive']['cycles_per_sec']:>9.0f} cyc/s"
             f"  col/c {cell['speedup_columnar_vs_compiled']:.2f}x"
-            f"  b/c {cell['speedup_batched_vs_compiled']:.2f}x"
-            f"  c/a {cell['speedup_compiled_vs_active']:.2f}x"
-            f"  a/n {cell['speedup_active_vs_naive']:.2f}x"
+            f"  c/n {cell['speedup_compiled_vs_naive']:.2f}x"
         )
 
     regressions: "list[str]" = []

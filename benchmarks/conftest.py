@@ -1,22 +1,16 @@
-"""Shared machinery for the benchmark suite.
+"""Shared scale for the benchmark suite.
 
-Each paper table/figure has one benchmark that runs its experiment at
-``BENCH`` scale — small enough that the full suite finishes in minutes,
-large enough that every code path (hierarchy levels, buffer depths,
-locality, the 2x clock domain) is really exercised.  The benchmark
-value is therefore also a performance regression guard on the
-simulator's hot loops.
+``BENCH`` is small enough that a benchmark finishes in seconds, large
+enough that every ring code path (hierarchy levels, buffer depths,
+locality) is really exercised.
 
 Run:  pytest benchmarks/ --benchmark-only
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.config import SimulationParams
-from repro.experiments._shared import clear_sweep_caches
-from repro.experiments.base import Scale, all_experiments
+from repro.experiments.base import Scale
 
 BENCH = Scale(
     name="quick",  # experiments key cell lists on the name
@@ -28,42 +22,3 @@ BENCH = Scale(
     locality_values=(0.2,),
     run_checks=False,
 )
-
-#: Wider variant for the Section 6 experiments, which need a 3-level
-#: hierarchy (>= 48 nodes at 32B lines) to exist at all.
-BENCH_WIDE = Scale(
-    name="quick",
-    sim=SimulationParams(batch_cycles=400, batches=3, seed=23),
-    max_nodes=80,
-    t_values=(4,),
-    cache_lines=(32,),
-    mesh_sides=(2, 3, 4, 5),
-    locality_values=(0.2,),
-    run_checks=False,
-)
-
-
-@pytest.fixture
-def bench_scale() -> Scale:
-    clear_sweep_caches()
-    return BENCH
-
-
-@pytest.fixture
-def bench_scale_wide() -> Scale:
-    clear_sweep_caches()
-    return BENCH_WIDE
-
-
-def run_experiment_benchmark(benchmark, experiment_id: str, scale: Scale):
-    """Benchmark one experiment end-to-end and sanity-check its output."""
-    experiment = all_experiments()[experiment_id]
-
-    def run():
-        clear_sweep_caches()
-        return experiment.run(scale)
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
-    populated = [series for series in result.series.values() if series.xs]
-    assert populated, f"{experiment_id}: no data produced"
-    return result

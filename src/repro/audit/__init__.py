@@ -4,8 +4,8 @@
 protocol invariants the simulator's correctness argument rests on
 (flit conservation, buffer bounds, wormhole contiguity, transaction
 lifecycle, transit priority — see :mod:`repro.audit.invariants` for the
-full list), and fuzzes the three schedulers against each other on
-randomized small configurations (:mod:`repro.audit.fuzz`).
+full list), and fuzzes the two bit-exact schedulers against each other
+on randomized small configurations (:mod:`repro.audit.fuzz`).
 
 Auditing follows the :mod:`repro.core.profiling` pattern: zero cost
 when off, ambient enable/disable around a run::

@@ -2,15 +2,15 @@
 
 ``fuzz``
     Differential fuzz campaign: randomized small configurations run
-    under all three schedulers with the invariant auditor on, result
-    JSON compared byte-for-byte, failures shrunk to minimal reproducer
-    specs on disk.  Exit 1 if any case fails.
+    under both bit-exact schedulers with the invariant auditor on,
+    result JSON compared byte-for-byte, failures shrunk to minimal
+    reproducer specs on disk.  Exit 1 if any case fails.
 
 ``smoke``
     Audited runs of one representative point per figure-family config
     (hierarchy depths, double-speed global ring, slotted switching,
-    mesh buffer depths) under every scheduler, asserting byte-identical
-    results and zero invariant violations.  Exit 1 on any violation or
+    mesh buffer depths) under both bit-exact schedulers, asserting
+    byte-identical results and zero invariant violations.  Exit 1 on any violation or
     divergence.
 
 ``replay FILE``
@@ -138,13 +138,6 @@ def main(argv: list[str] | None = None) -> int:
         "--seed", type=int, default=1, help="first simulation seed"
     )
     equiv_p.add_argument(
-        "--baseline",
-        default="compiled",
-        choices=["compiled", "batched", "active", "naive"],
-        help="bit-exact baseline scheduler (all are byte-identical; "
-        "'batched' is the fastest)",
-    )
-    equiv_p.add_argument(
         "--points",
         default=None,
         metavar="SUBSTR[,SUBSTR...]",
@@ -186,7 +179,6 @@ def main(argv: list[str] | None = None) -> int:
         reports = run_campaign(
             points=points,
             seeds=range(args.seed, args.seed + args.seeds),
-            baseline=args.baseline,
             log=print,
         )
         failed = sum(1 for r in reports if not r.passed)

@@ -1,10 +1,9 @@
 """Cross-scheduler differential fuzzer.
 
-The simulator's central correctness claim is that the four schedulers
-(``naive`` / ``active`` / ``compiled`` / ``batched``) are
-*behavior-identical*: for any configuration they produce byte-identical
-canonical result JSON (``batched`` runs the case as a lockstep batch of
-one replica).  The hand-picked equivalence matrix
+The simulator's central correctness claim is that the two bit-exact
+schedulers (``naive``, the plain full-scan reference, and ``compiled``)
+are *behavior-identical*: for any configuration they produce
+byte-identical canonical result JSON.  The hand-picked equivalence matrix
 (tests/integration/test_kernel_equivalence.py) enforces that claim on
 representative points; this module attacks it with randomized small
 configurations instead:
@@ -18,11 +17,11 @@ configurations instead:
    deadlock-free fails immediately as kind ``"spec"`` — no simulation
    time is spent chasing what would surface as a confusing watchdog
    timeout;
-3. run it under all four schedulers with the runtime invariant auditor
+3. run it under both schedulers with the runtime invariant auditor
    (:class:`repro.audit.Auditor`) enabled, so every cycle of every run
    is also checked for conservation/protocol violations;
-4. assert the four canonical result payloads are byte-identical (a
-   raised error is accepted only if all four schedulers raise the
+4. assert the two canonical result payloads are byte-identical (a
+   raised error is accepted only if both schedulers raise the
    *same* error);
 5. for clean bypass-flow-control cases, re-run once more with packet
    generation cut after the measured cycles and assert the network
@@ -81,7 +80,7 @@ from ..runtime.serialization import (
 from .invariants import AuditError, Auditor
 from .runtime import enabled
 
-SCHEDULERS = ("naive", "active", "compiled", "batched")
+SCHEDULERS = ("naive", "compiled")
 
 #: Mesh input-FIFO depths the fuzzer draws from (typed so a drawn
 #: ``"cl"`` stays the literal the config field expects).

@@ -3,7 +3,7 @@
 An :class:`Auditor` hooks the engine's propose/resolve/commit/update
 step (installed by ``Engine._finalize`` when :func:`repro.audit.enable`
 is active) and re-checks, from outside the datapath, the invariants the
-three schedulers' equivalence argument rests on:
+bit-exact schedulers' equivalence argument rests on:
 
 **Per subcycle, after propose** (:meth:`Auditor.check_proposals`)
     * every proposed flit is the head of its source FIFO;
@@ -137,9 +137,8 @@ class Auditor:
         self._mesh_routers: list[MeshRouter] = []
         self._pms: list[ProcessingModule] = []
         self._iris: list[InterRingInterface] = []
-        # One hub per replica under the batched engine; exactly one for
-        # a solo run (deduped — every PM of a network shares its hub).
-        self._metrics_hubs: "list[MetricsHub]" = []
+        # Every PM of a network shares one hub; taken from the first PM.
+        self._metrics_hub: "MetricsHub | None" = None
         self._flits_moved_base = 0
         self._committed_total = 0
 
@@ -159,7 +158,7 @@ class Auditor:
         self._mesh_routers = []
         self._pms = []
         self._iris = []
-        self._metrics_hubs = []
+        self._metrics_hub = None
         self._flits_moved_base = engine.flits_moved
         self._committed_total = 0
         seen_iris: set[int] = set()
@@ -197,8 +196,8 @@ class Auditor:
                         self._track_channel(channel)
             elif isinstance(component, ProcessingModule):
                 self._pms.append(component)
-                if not any(hub is component.metrics for hub in self._metrics_hubs):
-                    self._metrics_hubs.append(component.metrics)
+                if self._metrics_hub is None:
+                    self._metrics_hub = component.metrics
 
     def _track_buffer(self, buffer: FlitBuffer) -> None:
         key = id(buffer)
@@ -499,15 +498,10 @@ class Auditor:
                     f"pm{pm.pm_id}: outstanding={pm.outstanding} outside "
                     f"[0, T={pm._outstanding_limit}]",
                 )
-        if self._metrics_hubs:
-            # Summed across hubs: replicas never share PMs or hubs, so
-            # the per-replica identities imply the batch-wide one (and a
-            # solo run has exactly one hub — the original check).
+        hub = self._metrics_hub
+        if hub is not None:
             open_total = sum(len(pm.open_transactions) for pm in self._pms)
-            in_flight = sum(
-                hub.remote_issued - hub.remote_completed
-                for hub in self._metrics_hubs
-            )
+            in_flight = hub.remote_issued - hub.remote_completed
             if in_flight != open_total:
                 self._fail(
                     "transaction-lifecycle",
@@ -600,12 +594,12 @@ class Auditor:
                     f"{len(pm._req_staging)}+{len(pm._resp_staging)} staged, "
                     f"{len(pm._rx_counts)} partial receives"
                 )
-        for metrics in self._metrics_hubs:
-            if metrics.remote_issued != metrics.remote_completed:
-                return (
-                    f"{metrics.remote_issued} remote requests issued but "
-                    f"{metrics.remote_completed} responses completed after drain"
-                )
+        metrics = self._metrics_hub
+        if metrics is not None and metrics.remote_issued != metrics.remote_completed:
+            return (
+                f"{metrics.remote_issued} remote requests issued but "
+                f"{metrics.remote_completed} responses completed after drain"
+            )
         return None
 
     def check_quiescent(self, engine: "Engine") -> None:

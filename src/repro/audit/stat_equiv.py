@@ -8,10 +8,11 @@ the paper's claims actually live — at the statistics layer.  This
 module provides the two halves of that argument:
 
 **Paired campaigns** (:func:`run_campaign`, :func:`paired_point`) run
-the same point under the columnar scheduler and a bit-exact baseline
-across a common set of seeds and require the cross-seed 95% confidence
-intervals of mean remote latency and throughput to overlap, and the
-total flit volumes to agree within a ratio band.  The default campaign
+the same point under the columnar scheduler and the bit-exact
+``compiled`` baseline across a common set of seeds and require the
+cross-seed 95% confidence intervals of mean remote latency and
+throughput to overlap, and the total flit volumes to agree within a
+ratio band.  The default campaign
 (:func:`paper_points`) covers every topology family the paper
 evaluates: single ring, 2- and 3-level hierarchies, the double-speed
 global ring, and the mesh at 1-flit, 4-flit and cache-line buffers.
@@ -152,17 +153,13 @@ def paired_point(
     workload: WorkloadConfig,
     params: SimulationParams,
     seeds: Sequence[int] | None = None,
-    baseline: str = "compiled",
 ) -> PairedReport:
-    """Run one point columnar vs *baseline* and gate on CI overlap.
+    """Run one point columnar vs ``compiled`` and gate on CI overlap.
 
     Both sides run the same seed set; the per-seed mean latencies and
     throughputs form two independent samples whose 95% t intervals must
     overlap, and total flit volume must agree within
-    :data:`FLIT_RATIO_BAND`.  ``baseline`` may be any bit-exact
-    scheduler — they are all byte-identical to each other (enforced by
-    the scheduler-equivalence tests), so ``"batched"`` is a legitimate
-    faster stand-in for ``"compiled"``.
+    :data:`FLIT_RATIO_BAND`.
     """
     from ..core.columnar import simulate_columnar
     from ..core.simulation import simulate_batch
@@ -171,7 +168,7 @@ def paired_point(
         seeds = tuple(range(params.seed, params.seed + DEFAULT_SEEDS))
     seeds = tuple(int(s) for s in seeds)
     col_params = replace(params, scheduler="columnar")
-    base_params = replace(params, scheduler=baseline)
+    base_params = replace(params, scheduler="compiled")
     col_results = simulate_columnar(system, workload, col_params, seeds=seeds)
     base_results = simulate_batch(system, workload, base_params, seeds=seeds)
 
@@ -248,7 +245,6 @@ def run_campaign(
     workload: WorkloadConfig | None = None,
     params: SimulationParams | None = None,
     seeds: Sequence[int] | None = None,
-    baseline: str = "compiled",
     log: Callable[[str], None] | None = None,
 ) -> list[PairedReport]:
     """Paired columnar-vs-baseline campaign over *points*.
@@ -266,9 +262,7 @@ def run_campaign(
         params = SimulationParams(batch_cycles=500, batches=3)
     reports: list[PairedReport] = []
     for name, system in points:
-        report = paired_point(
-            name, system, workload, params, seeds=seeds, baseline=baseline
-        )
+        report = paired_point(name, system, workload, params, seeds=seeds)
         reports.append(report)
         if log is not None:
             log(report.describe())

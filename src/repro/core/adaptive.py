@@ -45,7 +45,6 @@ def simulate_to_precision(
     seed: int = 1,
     deadlock_threshold: int = 50_000,
     flow_control: str = "bypass",
-    scheduler: str = "active",
 ) -> AdaptiveResult:
     """Run until the latency CI half-width is within *relative_precision*.
 
@@ -63,11 +62,7 @@ def simulate_to_precision(
 
     metrics = MetricsHub()
     network = build_network(system, workload, metrics, seed=seed)
-    engine = Engine(
-        deadlock_threshold=deadlock_threshold,
-        flow_control=flow_control,
-        scheduler=scheduler,
-    )
+    engine = Engine(deadlock_threshold=deadlock_threshold, flow_control=flow_control)
     network.register(engine)
 
     levels = list(network.levels_present)
@@ -108,7 +103,6 @@ def simulate_to_precision(
         seed=seed,
         deadlock_threshold=deadlock_threshold,
         flow_control=flow_control,
-        scheduler=scheduler,
     )
     result = SimulationResult(
         system=system,

@@ -47,7 +47,7 @@ class FlitBuffer:
         self._flits: deque[Flit] = deque()
         self.flits_enqueued = 0
         self.flits_dequeued = 0
-        # Filled in by the engine's active-set scheduler at finalize time
+        # Filled in by the compiled scheduler at finalize time
         # (attribute access beats a dict lookup in the commit hot loop):
         # components to wake when a transfer lands in / drains this buffer.
         self._wake_on_push: (

@@ -1,7 +1,7 @@
 """Columnar throughput mode: a vectorized multi-replica flit datapath.
 
 The ``"columnar"`` scheduler trades the byte-identity contract of the
-other four schedulers for raw aggregate speed.  All replica state lives
+bit-exact schedulers for raw aggregate speed.  All replica state lives
 in struct-of-arrays numpy buffers flattened across replicas:
 
 * every flit buffer is a circular column of packet ids

@@ -23,9 +23,9 @@ from .packet import PacketType
 CACHE_LINE_SIZES: tuple[int, ...] = (16, 32, 64, 128)
 
 #: Engine schedulers accepted by :class:`SimulationParams`.  The first
-#: four are byte-identical to each other; ``columnar`` is only
+#: two are byte-identical to each other; ``columnar`` is only
 #: statistically equivalent (see the class docstring).
-SCHEDULERS: tuple[str, ...] = ("compiled", "active", "naive", "batched", "columnar")
+SCHEDULERS: tuple[str, ...] = ("compiled", "naive", "columnar")
 
 #: Traffic patterns accepted by :class:`WorkloadConfig`.  ``"mmrp"`` is
 #: the paper's locality workload; the rest are the standard NoC spatial
@@ -379,16 +379,14 @@ class SimulationParams:
     ``scheduler`` selects the engine's component visitation strategy:
     ``"compiled"`` (default) skips provably idle components *and* runs
     the propose/resolve/commit loop over flat integer arrays instead of
-    Transfer objects, ``"active"`` skips idle components on the object
-    datapath, ``"naive"`` scans everything every cycle, and
-    ``"batched"`` runs ``replicas`` seeds of the point in lockstep over
-    one compiled datapath (see :mod:`repro.core.batched`; requires
-    numpy).  Those four are behavior-identical (same per-replica
-    ``SimulationResult`` for every config — enforced by the kernel
-    equivalence test matrix), so among them the choice is an execution
-    detail and deliberately not part of the cached-result identity.
+    Transfer objects, while ``"naive"`` scans everything every cycle
+    over Transfer objects — the reference.  The two are
+    behavior-identical (same ``SimulationResult`` for every config —
+    enforced by the kernel equivalence test matrix and the differential
+    fuzzer), so between them the choice is an execution detail and
+    deliberately not part of the cached-result identity.
 
-    ``"columnar"`` is the fifth scheduler and the exception: it runs
+    ``"columnar"`` is the third scheduler and the exception: it runs
     ``replicas`` seeds as struct-of-arrays numpy columns with per-column
     ``Philox`` RNG streams (:mod:`repro.core.columnar`; requires numpy),
     trading byte-identity for raw aggregate throughput.  Its results
@@ -399,10 +397,12 @@ class SimulationParams:
     ``"fidelity": "statistical"`` tag and never serve a request for a
     bit-exact scheduler (see :mod:`repro.runtime.serialization`).
 
-    ``replicas`` is the lockstep batch width used by the batch entry
-    points (:func:`repro.core.simulation.simulate_batch`,
+    ``replicas`` is the batch width used by the batch entry points
+    (:func:`repro.core.simulation.simulate_batch`,
     :func:`repro.runtime.runner.run_replica_batch`) when no explicit
-    seed list is given: seeds ``seed, seed+1, ..., seed+replicas-1``.
+    seed list is given: seeds ``seed, seed+1, ..., seed+replicas-1``
+    (run in lockstep columns under ``columnar``, one after another
+    otherwise).
     Like ``scheduler`` it is an execution detail — each replica's
     result is cached independently under its own seed — and therefore
     also excluded from the cached-result identity.
@@ -436,8 +436,8 @@ class SimulationParams:
             )
         if self.scheduler not in SCHEDULERS:
             raise ConfigurationError(
-                f"scheduler must be 'compiled', 'active', 'naive', "
-                f"'batched' or 'columnar', got {self.scheduler!r}"
+                f"scheduler must be 'compiled', 'naive' or 'columnar', "
+                f"got {self.scheduler!r}"
             )
         if self.replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {self.replicas}")

@@ -38,16 +38,16 @@ base cycles.
 Scheduling
 ----------
 
-Three schedulers drive the same propose/resolve/commit machinery (a
-fourth, ``"batched"``, lives in :mod:`repro.core.batched`: it subclasses
-this engine to run N replica networks in lockstep over the compiled
-datapath, with per-replica flit tallies and deadlock watchdogs):
+Two schedulers drive the same propose/resolve/commit machinery (the
+statistically equivalent ``"columnar"`` tier is a separate engine, see
+:mod:`repro.core.columnar`):
 
 * ``"naive"`` scans every component every subcycle and runs every
-  ``update`` every cycle — the straightforward implementation;
-* ``"active"`` keeps *active sets*: only components that can
-  possibly do work are visited.  A component sleeps when it reports it
-  may (:meth:`Component.may_sleep_propose` /
+  ``update`` every cycle — the plain reference implementation, over
+  pooled :class:`Transfer` objects;
+* ``"compiled"`` (default) keeps *active sets*: only components that
+  can possibly do work are visited.  A component sleeps when it reports
+  it may (:meth:`Component.may_sleep_propose` /
   :meth:`Component.next_update_cycle`) and is woken by one of three
   events — a committed transfer into a buffer it reads
   (:meth:`Component.propose_wake_buffers` /
@@ -56,10 +56,9 @@ datapath, with per-replica flit tallies and deadlock watchdogs):
   registered timer (returned from :meth:`Component.next_update_cycle`).
   When both active sets are empty, :meth:`Engine.run` fast-forwards the
   clock straight to the earliest registered timer instead of spinning
-  through empty cycles.
-* ``"compiled"`` (default) is the active-set scheduler plus a
-  *compiled datapath*: every buffer and channel is assigned a dense
-  integer id on first use, proposals are written as index rows
+  through empty cycles.  On top of the active sets it runs a *compiled
+  datapath*: every buffer and channel is assigned a dense integer id on
+  first use, proposals are written as index rows
   (``src_id``/``dst_id``/``chan_id``/``owner_id`` plus the flit
   reference) into reused parallel arrays instead of allocating
   :class:`Transfer` objects, the greatest-fixed-point revocation runs
@@ -73,17 +72,14 @@ datapath, with per-replica flit tallies and deadlock watchdogs):
   (:meth:`Component.compiled_propose_handler`): a flat closure, built
   once at finalize, that performs the component's send arbitration
   and writes the proposal row directly into the engine's columns —
-  no per-proposal engine call at all.  Under saturation — every
-  component awake, tens of proposals per cycle — this removes the
-  object churn and call overhead that dominate the ``"active"``
-  profile.
+  no per-proposal engine call at all.
 
-The schedulers are behavior-identical: active sets are iterated in
+The two schedulers are behavior-identical: active sets are iterated in
 component-registration order, sleeping is only allowed when the naive
 scan would have been a no-op, and the compiled datapath preserves the
 object path's proposal order, revocation order and commit order
 exactly, so every simulation produces the same transfers, the same
-metrics and the same random streams under any scheduler (see
+metrics and the same random streams under either scheduler (see
 tests/integration/test_kernel_equivalence.py and DESIGN.md for the
 wake/sleep and flattening invariants).
 """
@@ -102,7 +98,7 @@ from .packet import Flit
 if TYPE_CHECKING:  # pragma: no cover - type-only import, no cycle
     from ..audit.invariants import Auditor, Proposal
 
-SCHEDULERS = ("compiled", "active", "naive")
+SCHEDULERS = ("compiled", "naive")
 
 #: Flat commit callback used by the compiled datapath:
 #: ``handler(flit, source, dest, channel)``.
@@ -147,7 +143,8 @@ class Component:
     :meth:`update` (endpoint logic).  ``speed`` is the clock multiplier:
     1 for normal components, 2 for components on a double-speed ring.
 
-    The scheduling hooks below feed the active-set scheduler.  The
+    The scheduling hooks below feed the compiled scheduler's active
+    sets.  The
     defaults are deliberately conservative — a component that overrides
     none of them is simply visited every subcycle and every cycle,
     exactly as under the naive scheduler — so custom components stay
@@ -302,9 +299,9 @@ class Engine:
       full ring (see benchmarks/bench_ablations.py).
 
     ``scheduler`` selects the component visitation strategy (see the
-    module docstring): ``"compiled"`` (default), ``"active"`` or
-    ``"naive"``.  All three are behavior-identical; the slower ones are
-    kept for the equivalence tests and ablation benchmarks.
+    module docstring): ``"compiled"`` (default) or ``"naive"``.  Both
+    are behavior-identical; ``"naive"`` is the reference the
+    equivalence tests and the differential fuzzer compare against.
 
     ``deadlock_threshold`` counts stalled *base* (PM) clock cycles —
     not subcycles — so its meaning does not change on systems with a
@@ -336,9 +333,8 @@ class Engine:
         self._pool: list[Transfer] = []
         self._subcycles = 1
         self._finalized = False
-        self._active_mode = scheduler in ("active", "compiled")
         self._compiled = scheduler == "compiled"
-        # Active-set state (used only by the "active" scheduler).  The
+        # Active-set state (used only by the compiled scheduler).  The
         # sets hold component registration indices; the `_order` lists
         # cache their sorted iteration order (component order — shared
         # with the naive scan so metric-recording order is identical)
@@ -354,19 +350,15 @@ class Engine:
         self._sweep_at = 0  # rate limit for the compiled idle-set sweep
         # per-component: ((output buffer, proposer indices), ...) pairs
         # checked after its update() for injection that bypasses commit
+        # (empty for self-waking fused handlers, see
+        # Component.compiled_update_self_wakes)
         self._upd_out_wakes: list[tuple[tuple[FlitBuffer, tuple[int, ...]], ...]] = []
-        # compiled twin of `_upd_out_wakes` with self-waking fused
-        # handlers' entries emptied (see Component.compiled_update_self_wakes)
-        self._upd_out_wakes_compiled: list[
-            tuple[tuple[FlitBuffer, tuple[int, ...]], ...]
-        ] = []
         # ------------------------------------------------------------------
-        # Compiled-datapath state (used only by the "compiled" scheduler).
-        # Buffers and channels get dense ids on first use; proposals are
-        # rows in the reused `_p_*` parallel columns, `_p_n[0]` of them
-        # live per subcycle (a one-element list rather than an int
-        # attribute so finalize-built propose closures can bump the
-        # count through a captured cell).  `_prop_of_src`/`_prop_of_dst`
+        # Compiled-datapath state.  Buffers and channels get dense ids
+        # on first use; proposals are rows in the reused `_p_*` parallel
+        # columns, `_p_n[0]` of them live per subcycle (a one-element
+        # list rather than an int attribute so finalize-built propose
+        # closures can bump the count through a captured cell).  `_prop_of_src`/`_prop_of_dst`
         # map a buffer id to its proposal row this subcycle (-1 = none)
         # and replace the `_by_source`/`_by_dest` dicts of the object
         # path.  All columns are grown strictly by appending in place —
@@ -450,9 +442,8 @@ class Engine:
         if unsupported:
             raise SimulationError(f"unsupported component speeds: {sorted(unsupported)}")
         self._subcycles = 2 if 2 in speeds else 1
-        if self._active_mode:
-            self._finalize_active_sets()
         if self._compiled:
+            self._finalize_active_sets()
             self._owner_handlers = [
                 self._commit_handler_for(component) for component in self.components
             ]
@@ -481,9 +472,8 @@ class Engine:
             ]
             # Fused handlers that wake their output-buffer readers at the
             # push site don't need the post-update scan; empty their
-            # entries in a compiled-only copy (the active scheduler keeps
-            # the eager scan in `_upd_out_wakes`).
-            self._upd_out_wakes_compiled = [
+            # entries.
+            self._upd_out_wakes = [
                 ()
                 if fused is not None and component.compiled_update_self_wakes
                 else wakes
@@ -604,11 +594,11 @@ class Engine:
         self._timer_at = [0] * len(self.components)
 
     # ------------------------------------------------------------------
-    # wake API (active scheduler; no-ops under the naive scheduler)
+    # wake API (compiled scheduler; no-ops under the naive scheduler)
     # ------------------------------------------------------------------
     def wake(self, component: Component) -> None:
         """Re-activate *component* for both phases (external state change)."""
-        if self._active_mode and component._engine_index >= 0:
+        if self._compiled and component._engine_index >= 0:
             self._active_prop.add(component._engine_index)
             self._active_upd.add(component._engine_index)
             self._prop_dirty = True
@@ -848,7 +838,7 @@ class Engine:
             self._finalize()
         step_fn = self._step_fn
         try:
-            if not self._active_mode:
+            if not self._compiled:
                 for __ in range(cycles):
                     step_fn()
                 return
@@ -885,86 +875,42 @@ class Engine:
                 counts[cid] = 0
 
     def _step(self) -> None:
-        cycle = self.cycle
-        active = self._active_mode
-        if active:
-            timers = self._timers
-            if timers and timers[0][0] <= cycle:
-                active_upd = self._active_upd
-                timer_at = self._timer_at
-                while timers and timers[0][0] <= cycle:
-                    fired, index = heappop(timers)
-                    active_upd.add(index)
-                    if timer_at[index] == fired:
-                        timer_at[index] = 0
-                self._upd_dirty = True
+        """One base cycle of the naive full scan over Transfer objects."""
         committed_this_cycle = 0
         proposed_this_cycle = 0
         components = self.components
         transfers = self._transfers
         for subcycle in range(self._subcycles):
-            if active:
-                if self._prop_dirty:
-                    self._prop_order = sorted(self._active_prop)
-                    self._prop_dirty = False
-                if subcycle == 0:
-                    for index in self._prop_order:
-                        components[index].propose(self)
-                else:
-                    for index in self._prop_order:
-                        component = components[index]
-                        if component.speed == 2:
-                            component.propose(self)
-            else:
-                for component in components:
-                    if subcycle == 0 or component.speed == 2:
-                        component.propose(self)
+            for component in components:
+                if subcycle == 0 or component.speed == 2:
+                    component.propose(self)
             if transfers:
                 proposed_this_cycle += len(transfers)
                 self._resolve()
                 committed_this_cycle += self._commit()
-                self._pool.extend(transfers)
-                transfers.clear()
-                self._by_source.clear()
-                self._by_dest.clear()
-        if active:
-            self._update_active(cycle)
-        else:
-            for component in components:
-                component.update(self)
-        self.cycle = cycle + 1
+                self._recycle_transfers()
+        for component in components:
+            component.update(self)
+        self.cycle += 1
         self._watchdog(proposed_this_cycle, committed_this_cycle)
+
+    def _recycle_transfers(self) -> None:
+        """Return this subcycle's :class:`Transfer` objects to the pool."""
+        transfers = self._transfers
+        self._pool.extend(transfers)
+        transfers.clear()
+        self._by_source.clear()
+        self._by_dest.clear()
 
     def _step_compiled(self) -> None:
         """One base cycle over the compiled datapath (active sets on)."""
         cycle = self.cycle
-        timers = self._timers
-        if timers and timers[0][0] <= cycle:
-            active_upd = self._active_upd
-            timer_at = self._timer_at
-            while timers and timers[0][0] <= cycle:
-                fired, index = heappop(timers)
-                active_upd.add(index)
-                if timer_at[index] == fired:
-                    timer_at[index] = 0
-            self._upd_dirty = True
+        self._fire_timers(cycle)
         committed_this_cycle = 0
         proposed_this_cycle = 0
-        prop_fns = self._prop_fns
         p_n = self._p_n
         for subcycle in range(self._subcycles):
-            if self._prop_dirty:
-                self._prop_order = order = sorted(self._active_prop)
-                self._prop_fn_order = [prop_fns[index] for index in order]
-                self._prop_dirty = False
-            if subcycle == 0:
-                for fn in self._prop_fn_order:
-                    fn(self)
-            else:
-                speed2 = self._prop_speed2
-                for index in self._prop_order:
-                    if speed2[index]:
-                        prop_fns[index](self)
+            self._propose_phase(subcycle)
             n = p_n[0]
             if n:
                 proposed_this_cycle += n
@@ -985,16 +931,7 @@ class Engine:
         identical to :meth:`_step_compiled` with ``_subcycles == 1``.
         """
         cycle = self.cycle
-        timers = self._timers
-        if timers and timers[0][0] <= cycle:
-            active_upd = self._active_upd
-            timer_at = self._timer_at
-            while timers and timers[0][0] <= cycle:
-                fired, index = heappop(timers)
-                active_upd.add(index)
-                if timer_at[index] == fired:
-                    timer_at[index] = 0
-            self._upd_dirty = True
+        self._fire_timers(cycle)
         if self._prop_dirty:
             self._prop_order = order = sorted(self._active_prop)
             self._prop_fn_order = [self._prop_fns[index] for index in order]
@@ -1019,11 +956,53 @@ class Engine:
         else:
             self._stalled_cycles = 0
 
+    def _fire_timers(self, cycle: int) -> None:
+        """Move every component whose timer is due into the update set."""
+        timers = self._timers
+        if timers and timers[0][0] <= cycle:
+            active_upd = self._active_upd
+            timer_at = self._timer_at
+            while timers and timers[0][0] <= cycle:
+                fired, index = heappop(timers)
+                active_upd.add(index)
+                if timer_at[index] == fired:
+                    timer_at[index] = 0
+            self._upd_dirty = True
+
+    def _propose_phase(self, subcycle: int) -> None:
+        """One subcycle's propose calls, in either scheduler's order."""
+        if self._compiled:
+            prop_fns = self._prop_fns
+            if self._prop_dirty:
+                self._prop_order = order = sorted(self._active_prop)
+                self._prop_fn_order = [prop_fns[index] for index in order]
+                self._prop_dirty = False
+            if subcycle == 0:
+                for fn in self._prop_fn_order:
+                    fn(self)
+            else:
+                speed2 = self._prop_speed2
+                for index in self._prop_order:
+                    if speed2[index]:
+                        prop_fns[index](self)
+        else:
+            for component in self.components:
+                if subcycle == 0 or component.speed == 2:
+                    component.propose(self)
+
+    def _update_phase(self, cycle: int) -> None:
+        """The per-base-cycle update calls, in either scheduler's order."""
+        if self._compiled:
+            self._update_compiled(cycle)
+        else:
+            for component in self.components:
+                component.update(self)
+
     def _step_profiled(self) -> None:
         """One base cycle with per-phase wall-time accounting.
 
-        A mode-generic mirror of :meth:`_step` / :meth:`_step_compiled`
-        installed by ``_finalize`` when a
+        A scheduler-generic mirror of :meth:`_step` /
+        :meth:`_step_compiled` installed by ``_finalize`` when a
         :class:`repro.core.profiling.PhaseProfile` is active.  It is a
         separate function so the unprofiled hot loops carry no
         profiling branches at all; behavior (order of every call into
@@ -1033,54 +1012,18 @@ class Engine:
         assert prof is not None
         sched = self.scheduler
         cycle = self.cycle
-        active = self._active_mode
         compiled = self._compiled
-        if active:
-            timers = self._timers
-            if timers and timers[0][0] <= cycle:
-                active_upd = self._active_upd
-                timer_at = self._timer_at
-                while timers and timers[0][0] <= cycle:
-                    fired, index = heappop(timers)
-                    active_upd.add(index)
-                    if timer_at[index] == fired:
-                        timer_at[index] = 0
-                self._upd_dirty = True
+        if compiled:
+            self._fire_timers(cycle)
         committed_this_cycle = 0
         proposed_this_cycle = 0
-        components = self.components
         transfers = self._transfers
+        p_n = self._p_n
         for subcycle in range(self._subcycles):
             prof.begin()
-            if compiled:
-                prop_fns = self._prop_fns
-                if self._prop_dirty:
-                    self._prop_order = order = sorted(self._active_prop)
-                    self._prop_fn_order = [prop_fns[index] for index in order]
-                    self._prop_dirty = False
-                if subcycle == 0:
-                    for fn in self._prop_fn_order:
-                        fn(self)
-                else:
-                    speed2 = self._prop_speed2
-                    for index in self._prop_order:
-                        if speed2[index]:
-                            prop_fns[index](self)
-            elif active:
-                if self._prop_dirty:
-                    self._prop_order = sorted(self._active_prop)
-                    self._prop_dirty = False
-                for index in self._prop_order:
-                    component = components[index]
-                    if subcycle == 0 or component.speed == 2:
-                        component.propose(self)
-            else:
-                for component in components:
-                    if subcycle == 0 or component.speed == 2:
-                        component.propose(self)
+            self._propose_phase(subcycle)
             prof.lap(sched, "propose")
             if compiled:
-                p_n = self._p_n
                 n = p_n[0]
                 if n:
                     proposed_this_cycle += n
@@ -1095,19 +1038,10 @@ class Engine:
                 self._resolve()
                 prof.lap(sched, "resolve")
                 committed_this_cycle += self._commit()
-                self._pool.extend(transfers)
-                transfers.clear()
-                self._by_source.clear()
-                self._by_dest.clear()
+                self._recycle_transfers()
                 prof.lap(sched, "commit")
         prof.begin()
-        if compiled:
-            self._update_compiled(cycle)
-        elif active:
-            self._update_active(cycle)
-        else:
-            for component in components:
-                component.update(self)
+        self._update_phase(cycle)
         prof.lap(sched, "update")
         prof.count_cycle(sched)
         self.cycle = cycle + 1
@@ -1116,67 +1050,32 @@ class Engine:
     def _step_audited(self) -> None:
         """One base cycle with runtime invariant checks between phases.
 
-        A mode-generic mirror of :meth:`_step` / :meth:`_step_compiled`
-        (structured exactly like :meth:`_step_profiled`) installed by
-        ``_finalize`` when an :class:`repro.audit.Auditor` is enabled.
-        Behavior — the order of every call into components — is
-        identical to the plain steps; the auditor only *reads* engine
-        and component state at four points per subcycle/cycle:
-        after propose (structural and priority checks on the proposal
-        set), after resolve (fixed-point validity and maximality,
-        wormhole contiguity), after commit (conservation of the commit
-        count, route/lock state), and after update (buffer/channel/
-        global flit conservation, transaction lifecycle).
+        A scheduler-generic mirror of :meth:`_step` /
+        :meth:`_step_compiled` (structured exactly like
+        :meth:`_step_profiled`) installed by ``_finalize`` when an
+        :class:`repro.audit.Auditor` is enabled.  Behavior — the order of
+        every call into components — is identical to the plain steps;
+        the auditor only *reads* engine and component state at four
+        points per subcycle/cycle: after propose (structural and
+        priority checks on the proposal set), after resolve
+        (fixed-point validity and maximality, wormhole contiguity),
+        after commit (conservation of the commit count, route/lock
+        state), and after update (buffer/channel/global flit
+        conservation, transaction lifecycle).
         """
         aud = self._auditor
         assert aud is not None
         cycle = self.cycle
-        active = self._active_mode
         compiled = self._compiled
-        if active:
-            timers = self._timers
-            if timers and timers[0][0] <= cycle:
-                active_upd = self._active_upd
-                timer_at = self._timer_at
-                while timers and timers[0][0] <= cycle:
-                    fired, index = heappop(timers)
-                    active_upd.add(index)
-                    if timer_at[index] == fired:
-                        timer_at[index] = 0
-                self._upd_dirty = True
+        if compiled:
+            self._fire_timers(cycle)
         committed_this_cycle = 0
         proposed_this_cycle = 0
-        components = self.components
         transfers = self._transfers
+        p_n = self._p_n
         for subcycle in range(self._subcycles):
+            self._propose_phase(subcycle)
             if compiled:
-                prop_fns = self._prop_fns
-                if self._prop_dirty:
-                    self._prop_order = order = sorted(self._active_prop)
-                    self._prop_fn_order = [prop_fns[index] for index in order]
-                    self._prop_dirty = False
-                if subcycle == 0:
-                    for fn in self._prop_fn_order:
-                        fn(self)
-                else:
-                    speed2 = self._prop_speed2
-                    for index in self._prop_order:
-                        if speed2[index]:
-                            prop_fns[index](self)
-            elif active:
-                if self._prop_dirty:
-                    self._prop_order = sorted(self._active_prop)
-                    self._prop_dirty = False
-                for index in self._prop_order:
-                    component = components[index]
-                    if subcycle == 0 or component.speed == 2:
-                        component.propose(self)
-            else:
-                for component in components:
-                    if subcycle == 0 or component.speed == 2:
-                        component.propose(self)
-            if compiled:
-                p_n = self._p_n
                 n = p_n[0]
                 if n:
                     proposed_this_cycle += n
@@ -1196,19 +1095,10 @@ class Engine:
                 self._resolve()
                 survivors = aud.check_resolution(self)
                 committed = self._commit()
-                self._pool.extend(transfers)
-                transfers.clear()
-                self._by_source.clear()
-                self._by_dest.clear()
+                self._recycle_transfers()
                 committed_this_cycle += committed
                 aud.check_commit(self, survivors, committed)
-        if compiled:
-            self._update_compiled(cycle)
-        elif active:
-            self._update_active(cycle)
-        else:
-            for component in components:
-                component.update(self)
+        self._update_phase(cycle)
         self.cycle = cycle + 1
         aud.check_cycle_end(self)
         self._watchdog(proposed_this_cycle, committed_this_cycle)
@@ -1253,82 +1143,22 @@ class Engine:
             for t in self._transfers
         ]
 
-    def _update_active(self, cycle: int) -> None:
-        """Update phase plus the wake/sleep bookkeeping of both sets."""
-        components = self.components
-        active_upd = self._active_upd
-        if active_upd:
-            if self._upd_dirty:
-                self._upd_order = sorted(active_upd)
-                self._upd_dirty = False
-            active_prop = self._active_prop
-            upd_out_wakes = self._upd_out_wakes
-            timers = self._timers
-            timer_at = self._timer_at
-            hot_threshold = cycle + 1
-            prop_grew = False
-            upd_shrank = False
-            for index in self._upd_order:
-                component = components[index]
-                component.update(self)
-                # Wake the proposers reading any buffer this update filled
-                # (injection bypasses the transfer machinery).
-                for buffer, wakes in upd_out_wakes[index]:
-                    if buffer._flits:
-                        active_prop.update(wakes)
-                        prop_grew = True
-                nxt = component.next_update_cycle(self)
-                if nxt is None:
-                    active_upd.discard(index)
-                    upd_shrank = True
-                elif nxt > hot_threshold:
-                    active_upd.discard(index)
-                    upd_shrank = True
-                    # Dedup: skip the push when an earlier live timer
-                    # already guarantees a wake at or before `nxt`.
-                    live = timer_at[index]
-                    if live <= cycle or nxt < live:
-                        heappush(timers, (nxt, index))
-                        timer_at[index] = nxt
-            if prop_grew:
-                self._prop_dirty = True
-            if upd_shrank:
-                self._upd_dirty = True
-        # Sweep proposers to sleep — but only every 16 cycles, or when
-        # the update set just went quiet (so the fast-forward path opens
-        # promptly at low load).  Sleeping a few cycles late is always
-        # safe: an awake-but-idle propose() is a no-op, exactly what the
-        # naive scan does every cycle.  Under load the sweep would churn
-        # (busy components never sleep), so amortizing it is pure win.
-        active_prop = self._active_prop
-        if active_prop and (cycle & 15 == 0 or not active_upd):
-            swept = False
-            # sorted(): sweep in component-index order, not set order
-            # (RPR001 regression — discards are order-independent, but a
-            # frozen set order must never leak into scheduling decisions).
-            for index in sorted(active_prop):
-                if components[index].may_sleep_propose():
-                    active_prop.discard(index)
-                    swept = True
-            if swept:
-                self._prop_dirty = True
-
     def _update_compiled(self, cycle: int) -> None:
-        """Compiled twin of :meth:`_update_active`.
+        """Update phase plus the wake/sleep bookkeeping of both sets.
 
-        Same calls into the same components in the same order; the
-        differences are mechanical — ``update``/``next_update_cycle``
-        are the bound methods resolved once at finalize (or the
-        component's single fused closure, which computes the next-cycle
-        answer during the update call), a component with no declared
-        output buffers skips the wake scan without setting up an empty
-        loop, and the sleep sweep is amortized over 64 cycles instead
-        of 16.  For the fused path the output-buffer wake scan runs
-        after the next-cycle computation (it happens inside the fused
-        call) rather than between the two plain calls; that is
-        equivalent because the next-cycle computation never reads the
-        active sets and the scan only reads output-buffer occupancy,
-        which is final once the update work is done.
+        Runs ``update`` for every awake component in registration order
+        (the naive scan's order, so metric-recording order is
+        identical), then asks it for its next busy cycle: the component
+        stays hot, parks on a timer, or sleeps until a buffer event.
+        ``update``/``next_update_cycle`` are the bound methods resolved
+        once at finalize, or the component's single fused closure,
+        which computes the next-cycle answer during the update call.
+        For the fused path the output-buffer wake scan runs after the
+        next-cycle computation (it happens inside the fused call)
+        rather than between the two plain calls; that is equivalent
+        because the next-cycle computation never reads the active sets
+        and the scan only reads output-buffer occupancy, which is final
+        once the update work is done.
         """
         active_upd = self._active_upd
         if active_upd:
@@ -1336,7 +1166,7 @@ class Engine:
                 self._upd_order = sorted(active_upd)
                 self._upd_dirty = False
             active_prop = self._active_prop
-            upd_out_wakes = self._upd_out_wakes_compiled
+            upd_out_wakes = self._upd_out_wakes
             upd_pairs = self._upd_pairs
             upd_fused = self._upd_fused
             timers = self._timers
@@ -1380,19 +1210,15 @@ class Engine:
             # for any non-empty output buffer, which at saturation is
             # every cycle even though the proposers are all awake
             # already — rebuilding the sorted order then is pure waste.
-            # (_update_active keeps the coarser any-wake-fired test; the
-            # rebuilt order is identical either way, this only changes
-            # how often it is recomputed.)
             if len(active_prop) != prop_before:
                 self._prop_dirty = True
             if upd_shrank:
                 self._upd_dirty = True
-        # Amortized sleep sweep — see _update_active for the rationale.
-        # The compiled path stretches the period to 64 cycles: sweeping
-        # is pure scheduling (an awake-but-idle propose() is a no-op,
-        # and results are scheduler-independent by construction), and at
-        # saturation — this datapath's design point — the sweep almost
-        # never finds a sleeper, so the sorted() walk is nearly always
+        # Sweep proposers to sleep, amortized over 64 cycles.  Sleeping a
+        # few cycles late is always safe: an awake-but-idle propose() is
+        # a no-op, exactly what the naive scan does every cycle.  At
+        # saturation the sweep almost never finds a sleeper (busy
+        # components never sleep), so the sorted() walk is nearly always
         # wasted.  The `not active_upd` trigger still opens the
         # fast-forward path promptly at low load, rate-limited to every
         # 8th cycle: at saturation the update set regularly drains to
@@ -1503,50 +1329,20 @@ class Engine:
                         f"buffer {transfer.source.name!r} head changed between "
                         f"propose and commit"
                     )
-        if self._active_mode:
-            active_prop = self._active_prop
-            active_upd = self._active_upd
-            prop_before = len(active_prop)
-            upd_before = len(active_upd)
-            for transfer in transfers:
-                if not transfer.committed:
-                    continue
-                dest = transfer.dest
-                dest.push(transfer.flit)
-                channel = transfer.channel
-                if channel is not None:
-                    channel.flits_carried += 1
-                transfer.owner.on_transfer_commit(transfer, self)
-                committed += 1
-                pair = dest._wake_on_push
-                if pair is not None:
-                    prop_wakes, upd_wakes = pair
-                    if prop_wakes is not None:
-                        active_prop.update(prop_wakes)
-                    if upd_wakes is not None:
-                        active_upd.update(upd_wakes)
-                wakes = transfer.source._wake_on_pop
-                if wakes is not None:
-                    active_upd.update(wakes)
-            if len(active_prop) != prop_before:
-                self._prop_dirty = True
-            if len(active_upd) != upd_before:
-                self._upd_dirty = True
-        else:
-            for transfer in transfers:
-                if not transfer.committed:
-                    continue
-                transfer.dest.push(transfer.flit)
-                channel = transfer.channel
-                if channel is not None:
-                    channel.flits_carried += 1
-                transfer.owner.on_transfer_commit(transfer, self)
-                committed += 1
+        for transfer in transfers:
+            if not transfer.committed:
+                continue
+            transfer.dest.push(transfer.flit)
+            channel = transfer.channel
+            if channel is not None:
+                channel.flits_carried += 1
+            transfer.owner.on_transfer_commit(transfer, self)
+            committed += 1
         self.flits_moved += committed
         return committed
 
     def _commit_compiled(self) -> int:
-        """Row-loop twin of :meth:`_commit` (active-set bookkeeping on).
+        """Row-loop twin of :meth:`_commit` plus the active-set wakes.
 
         Same two-pass structure — all drains before any fill — with the
         per-flit work flattened: direct deque operations plus FIFO

@@ -43,7 +43,7 @@ class MissSource(Protocol):
     ``next_issue_cycle(cycle) -> int | None`` — the earliest future
     cycle at which ``poll`` could release a miss (``None`` while a
     released miss is parked waiting for an outstanding slot).  The
-    active-set scheduler uses it to let an idle PM sleep; sources
+    compiled scheduler uses it to let an idle PM sleep; sources
     without it simply keep their PM polling every cycle.
     """
 
@@ -208,7 +208,7 @@ class BurstyMissGenerator(MissGenerator):
     it freezes while a miss is parked blocked, exactly like the
     Bernoulli stream, so lazy per-poll drawing and burst lookahead
     consume the random stream identically and results stay
-    bit-identical across the naive/active/compiled/batched schedulers.
+    bit-identical across the naive and compiled schedulers.
     (The compiled fast path fuses only the exact ``MissGenerator`` type
     — see ``ProcessingModule.compiled_update_handler`` — so this
     subclass automatically runs on the generic, still-correct path.

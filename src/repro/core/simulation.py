@@ -163,13 +163,6 @@ def simulate(
             f"need one miss source per processor "
             f"({_processors_of(system)}), got {len(miss_sources)}"
         )
-    if params.scheduler == "batched":
-        # A solo "batched" run is a lockstep batch of one: same datapath,
-        # same per-replica result (byte-identical to "compiled" — the
-        # equivalence matrix enforces it).
-        return simulate_batch(
-            system, workload, params, seeds=(params.seed,), miss_sources=miss_sources
-        )[0]
     if params.scheduler == "columnar":
         # Columnar results are statistically equivalent, not
         # byte-identical; a solo run is a column batch of one.
@@ -243,17 +236,15 @@ def simulate_batch(
     seeds: Sequence[int] | None = None,
     miss_sources: Sequence[MissSource] | None = None,
 ) -> list[SimulationResult]:
-    """Run N seeds of one point in lockstep; one result per seed.
+    """Run N seeds of one point; one result per seed.
 
-    The replicas share a single
-    :class:`~repro.core.batched.BatchedEngine` (see its module docstring
-    for the replica-axis layout), so per-cycle scheduling overhead is
-    paid once per batch cycle instead of once per replica cycle.  Each
-    replica owns its network, metrics and RNG streams, and its
-    :class:`SimulationResult` is byte-identical to running that seed
-    alone under the ``compiled`` scheduler — each result's ``params``
-    carries the replica's own seed (with ``replicas=1``), so results
-    drop into the content-addressed cache as N independent entries.
+    Under the ``columnar`` scheduler the seeds run in lockstep as
+    struct-of-arrays columns (:mod:`repro.core.columnar`).  Under the
+    bit-exact schedulers each seed is a plain :func:`simulate` run, so
+    every result is byte-identical to running that seed alone — each
+    result's ``params`` carries the replica's own seed (with
+    ``replicas=1``), so results drop into the content-addressed cache
+    as N independent entries.
 
     ``seeds`` defaults to ``params.seed, ..., params.seed + replicas - 1``.
     ``miss_sources`` is only meaningful for a batch of one (each
@@ -277,86 +268,16 @@ def simulate_batch(
         seeds = tuple(seeds)
     if not seeds:
         raise ConfigurationError("simulate_batch needs at least one seed")
-    if miss_sources is not None:
-        if len(seeds) != 1:
-            raise ConfigurationError(
-                "miss_sources requires a batch of exactly one replica"
-            )
-        if len(miss_sources) != _processors_of(system):
-            raise ConfigurationError(
-                f"need one miss source per processor "
-                f"({_processors_of(system)}), got {len(miss_sources)}"
-            )
-    try:
-        from .batched import BatchedEngine
-    except ImportError as exc:  # numpy missing
+    if miss_sources is not None and len(seeds) != 1:
         raise ConfigurationError(
-            "the batched scheduler requires numpy; install it or use "
-            "scheduler='compiled'"
-        ) from exc
-
-    engine = BatchedEngine(
-        deadlock_threshold=params.deadlock_threshold,
-        flow_control=params.flow_control,
-    )
-    hubs: list[MetricsHub] = []
-    networks: list[HierarchicalRingNetwork | MeshNetwork] = []
-    for seed in seeds:
-        metrics = MetricsHub()
-        network = build_network(
-            system, workload, metrics, seed=seed, miss_sources=miss_sources
+            "miss_sources requires a batch of exactly one replica"
         )
-        network.register(engine)
-        engine.seal_replica()
-        hubs.append(metrics)
-        networks.append(network)
-
-    levels = list(networks[0].levels_present)
-    util_meters = [
-        {level: RateMeter(level) for level in levels} for __ in seeds
+    return [
+        simulate(
+            system,
+            workload,
+            replace(params, seed=seed, replicas=1),
+            miss_sources=miss_sources,
+        )
+        for seed in seeds
     ]
-    all_meters = [RateMeter("__all__") for __ in seeds]
-    throughput_meters = [RateMeter("throughput") for __ in seeds]
-
-    for __ in range(params.batches):
-        engine.run(params.batch_cycles)
-        for replica, metrics in enumerate(hubs):
-            network = networks[replica]
-            metrics.close_batch()
-            for level, meter in util_meters[replica].items():
-                meter.close_batch(
-                    network.flits_carried(level),
-                    network.opportunities(engine.cycle, level),
-                )
-            all_meters[replica].close_batch(
-                network.flits_carried(None), network.opportunities(engine.cycle, None)
-            )
-            completed = metrics.remote_completed + metrics.local_completed
-            throughput_meters[replica].close_batch(completed, engine.cycle)
-
-    results: list[SimulationResult] = []
-    for replica, (seed, metrics) in enumerate(zip(seeds, hubs)):
-        utilization = {
-            level: meter.summary() for level, meter in util_meters[replica].items()
-        }
-        utilization["__all__"] = all_meters[replica].summary()
-        results.append(
-            SimulationResult(
-                system=system,
-                workload=workload,
-                params=replace(params, seed=seed, replicas=1),
-                cycles=engine.cycle,
-                latency=metrics.remote_latency.batch.summary(),
-                local_latency=metrics.local_latency.batch.summary(),
-                utilization=utilization,
-                throughput=throughput_meters[replica].summary(),
-                remote_transactions=metrics.remote_completed,
-                local_transactions=metrics.local_completed,
-                flits_moved=int(engine.replica_flits[replica]),
-                latency_range=(
-                    metrics.remote_latency.minimum,
-                    metrics.remote_latency.maximum,
-                ),
-            )
-        )
-    return results

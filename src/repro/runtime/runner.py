@@ -181,7 +181,7 @@ def _execute(spec: PointSpec) -> SimulationResult:
 
 
 def _execute_batch(spec: PointSpec, seeds: tuple[int, ...]) -> list[SimulationResult]:
-    """Worker entry point: run one point's seeds as a lockstep batch."""
+    """Worker entry point: run one chunk of a point's seeds."""
     return simulate_batch(spec.system, spec.workload, spec.params, seeds=seeds)
 
 
@@ -204,23 +204,23 @@ def run_replica_batch(
     cache: ResultCache | None | _UnsetType = _UNSET,
     progress: ProgressHook | None = None,
 ) -> list[SimulationResult]:
-    """Run one point under N seeds via the lockstep-batched engine.
+    """Run one point under N seeds via :func:`simulate_batch`.
 
     Returns one :class:`SimulationResult` per seed, in seed order.
     ``seeds`` defaults to ``spec.params.seed .. seed + replicas - 1``.
     Each replica is a first-class cache citizen: cached seeds are
-    served without simulating them, the missing seeds run as lockstep
-    batches (split across the process pool when ``jobs > 1``), and
+    served without simulating them, the missing seeds run in contiguous
+    chunks (split across the process pool when ``jobs > 1``), and
     every fresh result is stored under its own per-seed spec — exactly
     the entry a solo ``run_point`` of that seed would read or write.
 
-    With ``spec.params.scheduler == "columnar"`` the batch runs on the
-    struct-of-arrays columnar engine instead (statistically equivalent
-    results, not byte-identical); its per-seed cache entries carry the
-    ``"fidelity": "statistical"`` payload tag, so they are a *separate*
-    cache population from bit-exact entries of the same point — a
-    columnar batch never serves, and is never served by, a ``compiled``
-    request for the same seed.
+    With ``spec.params.scheduler == "columnar"`` each chunk runs in
+    lockstep on the struct-of-arrays columnar engine (statistically
+    equivalent results, not byte-identical); its per-seed cache entries
+    carry the ``"fidelity": "statistical"`` payload tag, so they are a
+    *separate* cache population from bit-exact entries of the same
+    point — a columnar batch never serves, and is never served by, a
+    ``compiled`` request for the same seed.
     """
     if seeds is None:
         base = spec.params.seed
@@ -265,7 +265,7 @@ def run_replica_batch(
     if missing and workers <= 1:
         _record(_execute_batch(spec, tuple(missing)))
     elif missing:
-        # Contiguous seed chunks, one lockstep batch per worker.
+        # Contiguous seed chunks, one simulate_batch call per worker.
         bound = -(-len(missing) // workers)  # ceil division
         chunks = [
             tuple(missing[start : start + bound])

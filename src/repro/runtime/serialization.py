@@ -121,7 +121,7 @@ def workload_from_payload(payload: dict[str, Any]) -> WorkloadConfig:
 def params_payload(params: SimulationParams) -> dict[str, Any]:
     # ``params.scheduler`` and ``params.replicas`` are deliberately
     # omitted: the bit-exact schedulers are behavior-identical (enforced
-    # by the kernel equivalence tests) and a lockstep batch is just N
+    # by the kernel equivalence tests) and a batch is just N
     # independent seeds, so cache keys and result payloads must not
     # depend on which scheduler — or how wide a batch — computed a
     # point.  The one exception is ``"columnar"``: its results are only

@@ -180,7 +180,13 @@ class SweepService:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except BadRequest as exc:
+                    # A malformed head leaves the stream position unknown:
+                    # answer once, then drop the connection.
+                    await self._respond_json(writer, 400, {"error": str(exc)}, False)
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -204,7 +210,7 @@ class SweepService:
                     )
                 if not keep_alive:
                     break
-        except (asyncio.IncompleteReadError, ConnectionResetError, BadRequest):
+        except (asyncio.IncompleteReadError, ConnectionResetError):
             pass
         finally:
             writer.close()
@@ -230,7 +236,11 @@ class SweepService:
                 break
             name, __, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            raise BadRequest(f"unacceptable content-length: {raw_length!r}") from None
         if length < 0 or length > _MAX_BODY_BYTES:
             raise BadRequest(f"unacceptable content-length: {length}")
         body = await reader.readexactly(length) if length else b""
@@ -326,7 +336,13 @@ class SweepService:
             if not isinstance(payload, dict):
                 raise BadRequest(f"point {index}: payload must be an object")
             try:
-                specs.append(PointSpec.from_payload(payload, derive_seed=derive_seed))
+                spec = PointSpec.from_payload(payload, derive_seed=derive_seed)
+                # Reject bad configs here as 400s rather than as 500s
+                # from inside a pool worker.
+                spec.system.validate()
+                spec.workload.validate()
+                spec.params.validate()
+                specs.append(spec)
             except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
                 raise BadRequest(f"point {index}: {exc}") from exc
         return specs

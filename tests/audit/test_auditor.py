@@ -29,7 +29,7 @@ from repro.runtime.serialization import canonical_json, result_payload
 
 PARAMS = SimulationParams(batch_cycles=300, batches=3, seed=5)
 WORKLOAD = WorkloadConfig(miss_rate=0.05, outstanding=4)
-SCHEDULERS = ("naive", "active", "compiled")
+SCHEDULERS = ("naive", "compiled")
 
 SYSTEMS = [
     pytest.param(RingSystemConfig(topology="2:4", cache_line_bytes=32), id="ring"),
@@ -67,7 +67,7 @@ def test_audited_run_is_byte_identical(system):
             for s in SCHEDULERS
         }
     assert audited == plain
-    assert plain["naive"] == plain["active"] == plain["compiled"]
+    assert plain["naive"] == plain["compiled"]
     assert auditor.cycles_audited > 0
     assert auditor.proposals_checked > 0
     assert auditor.engines_attached == len(SCHEDULERS)
@@ -95,7 +95,7 @@ def test_enabled_is_scoped():
     assert current() is None
 
 
-@pytest.mark.parametrize("scheduler", ["naive", "active"])
+@pytest.mark.parametrize("scheduler", ["naive"])
 def test_lost_dequeue_count_is_caught(monkeypatch, scheduler):
     """An off-by-one in the FIFO counters trips buffer-conservation.
 
@@ -120,7 +120,7 @@ def test_lost_dequeue_count_is_caught(monkeypatch, scheduler):
     assert auditor.violations and auditor.violations[0] is excinfo.value
 
 
-@pytest.mark.parametrize("scheduler", ["naive", "active"])
+@pytest.mark.parametrize("scheduler", ["naive"])
 def test_disabled_resolver_is_caught(monkeypatch, scheduler):
     """A resolver that never revokes leaves overflowing survivors; the
     after-resolve fixed-point check must catch them before commit."""

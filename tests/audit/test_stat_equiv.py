@@ -95,10 +95,8 @@ class TestPairedCampaign:
         assert lo <= report.flit_ratio <= hi
         assert "PASS" in report.describe()
 
-    def test_batched_baseline_is_accepted(self):
-        report = paired_point(
-            "mesh", MESH, WORKLOAD, PARAMS, seeds=(3, 4, 5), baseline="batched"
-        )
+    def test_paired_point_passes_on_a_mesh_point(self):
+        report = paired_point("mesh", MESH, WORKLOAD, PARAMS, seeds=(3, 4, 5))
         assert report.passed, report.describe()
 
     def test_failures_flip_the_verdict(self):

@@ -149,3 +149,8 @@ class TestSimulationParams:
             SimulationParams(batch_cycles=0).validate()
         with pytest.raises(ConfigurationError):
             SimulationParams(deadlock_threshold=0).validate()
+
+    @pytest.mark.parametrize("scheduler", ("active", "batched"))
+    def test_retired_schedulers_rejected(self, scheduler):
+        with pytest.raises(ConfigurationError):
+            SimulationParams(scheduler=scheduler).validate()

@@ -168,7 +168,7 @@ class TestConservativeFlowControl:
             Engine(flow_control="psychic")
 
 
-@pytest.mark.parametrize("scheduler", ("compiled", "active", "naive"))
+@pytest.mark.parametrize("scheduler", ("compiled", "naive"))
 class TestProposalValidation:
     """The structural proposal checks hold under every scheduler.
 
@@ -317,7 +317,7 @@ class TestWatchdog:
         engine.add_component(Counter())
         engine.run(50)  # no proposals at all -> no deadlock
 
-    @pytest.mark.parametrize("scheduler", ("compiled", "active", "naive"))
+    @pytest.mark.parametrize("scheduler", ("compiled", "naive"))
     def test_threshold_counts_base_cycles_not_subcycles(self, scheduler):
         """A double-speed wedge stalls once per *base* cycle.
 

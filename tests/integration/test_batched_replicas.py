@@ -1,17 +1,14 @@
-"""Multi-replica lockstep batches: decorrelation, identity, integration.
+"""Multi-seed batches: per-seed identity and runner/cache integration.
 
-The kernel equivalence matrix (test_kernel_equivalence.py) already
-proves a *batch of one* is byte-identical to the other schedulers; this
-module covers what is new with N > 1:
+``simulate_batch`` and ``run_replica_batch`` run one point under N
+seeds.  On the bit-exact schedulers every replica must be byte-identical
+to the same seed run alone, so this module covers:
 
 * seed decorrelation — every replica of a batch equals the same seed
-  run individually (lockstep neighbours leak nothing into each other);
-* per-replica accounting — ``BatchedEngine.replica_flits`` splits the
-  merged ``flits_moved`` exactly;
-* the per-replica deadlock watchdog — a wedged replica raises at the
-  same cycle and stall count as its solo run, batch mates or not;
+  run individually;
 * runner/cache integration — ``run_replica_batch`` results are
-  interchangeable cache currency with solo ``run_point`` entries.
+  interchangeable cache currency with solo ``run_point`` entries, and
+  pooled runs match serial ones.
 """
 
 import math
@@ -19,17 +16,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.batched import BatchedEngine
-from repro.core.buffers import FlitBuffer
 from repro.core.config import (
     MeshSystemConfig,
     RingSystemConfig,
     SimulationParams,
     WorkloadConfig,
 )
-from repro.core.engine import Component, Engine
-from repro.core.errors import ConfigurationError, DeadlockError
-from repro.core.packet import Packet, PacketType
+from repro.core.errors import ConfigurationError
 from repro.core.simulation import simulate, simulate_batch
 from repro.runtime.serialization import canonical_json, result_payload
 
@@ -103,136 +96,6 @@ def test_replicas_validated():
     with pytest.raises(ConfigurationError):
         SimulationParams(replicas=0).validate()
     assert SimulationParams(replicas=8).validate().replicas == 8
-
-
-# ----------------------------------------------------------------------
-# engine-level behavior via toy components
-# ----------------------------------------------------------------------
-class Pipe(Component):
-    """Propose the head of ``source`` into ``dest`` every subcycle."""
-
-    def __init__(self, source, dest):
-        self.source = source
-        self.dest = dest
-
-    def propose(self, engine):
-        flit = self.source.peek()
-        if flit is not None:
-            engine.propose(flit, self.source, self.dest, None, self)
-
-
-def flits(n):
-    return list(Packet(PacketType.READ_RESPONSE, 0, 1, max(n, 1), 0, 0).flits)
-
-
-def add_wedged_replica(engine):
-    """One proposer into a permanently full destination: stalls forever."""
-    source = FlitBuffer("src", capacity=2)
-    dest = FlitBuffer("dst", capacity=1)
-    supply = flits(2)
-    source.push(supply[0])
-    dest.push(supply[1])
-    engine.add_component(Pipe(source, dest))
-    engine.seal_replica()
-
-
-def add_spinning_replica(engine):
-    """A full two-buffer cycle: rotates (commits) every cycle forever."""
-    a = FlitBuffer("a", capacity=1)
-    b = FlitBuffer("b", capacity=1)
-    supply = flits(2)
-    a.push(supply[0])
-    b.push(supply[1])
-    engine.add_component(Pipe(a, b))
-    engine.add_component(Pipe(b, a))
-    engine.seal_replica()
-
-
-def test_watchdog_counts_per_replica():
-    """A wedged replica raises at its solo threshold even while a batch
-    mate commits every cycle (the merged engine never looks idle)."""
-    threshold = 40
-    solo = Engine(deadlock_threshold=threshold, scheduler="compiled")
-    src = FlitBuffer("src", capacity=2)
-    dst = FlitBuffer("dst", capacity=1)
-    supply = flits(2)
-    src.push(supply[0])
-    dst.push(supply[1])
-    solo.add_component(Pipe(src, dst))
-    with pytest.raises(DeadlockError) as solo_info:
-        solo.run(10 * threshold)
-
-    batch = BatchedEngine(deadlock_threshold=threshold)
-    add_spinning_replica(batch)
-    add_wedged_replica(batch)
-    with pytest.raises(DeadlockError) as batch_info:
-        batch.run(10 * threshold)
-
-    assert batch_info.value.cycle == solo_info.value.cycle
-    assert batch_info.value.stalled_cycles == solo_info.value.stalled_cycles
-    assert "replica 1 of 2" in str(batch_info.value)
-    # the healthy replica kept committing right up to the raise
-    assert int(batch.replica_flits[0]) > 0
-
-
-def test_single_replica_deadlock_message_matches_solo():
-    """A batch of one must raise the byte-identical solo message (the
-    differential fuzzer compares error strings across schedulers)."""
-    threshold = 25
-    solo = Engine(deadlock_threshold=threshold, scheduler="compiled")
-    src = FlitBuffer("src", capacity=2)
-    dst = FlitBuffer("dst", capacity=1)
-    supply = flits(2)
-    src.push(supply[0])
-    dst.push(supply[1])
-    solo.add_component(Pipe(src, dst))
-    with pytest.raises(DeadlockError) as solo_info:
-        solo.run(10 * threshold)
-
-    batch = BatchedEngine(deadlock_threshold=threshold)
-    add_wedged_replica(batch)
-    with pytest.raises(DeadlockError) as batch_info:
-        batch.run(10 * threshold)
-    assert str(batch_info.value) == str(solo_info.value)
-
-
-def test_replica_flits_per_replica_engine_level():
-    engine = BatchedEngine()
-    add_spinning_replica(engine)
-    add_wedged_replica(engine)
-    add_spinning_replica(engine)
-    engine.run(10)
-    assert engine.replicas == 3
-    assert list(engine.replica_flits) == [20, 0, 20]  # 2 commits/cycle spin
-    assert engine.flits_moved == 40
-    assert engine.occupancy_matrix().sum() == 6
-    assert "3 replica(s)" in engine.describe()
-
-
-def test_seal_replica_guards():
-    engine = BatchedEngine()
-    with pytest.raises(Exception):
-        engine.seal_replica()  # nothing registered yet
-    add_spinning_replica(engine)
-    engine.run(1)
-    with pytest.raises(Exception):
-        engine.seal_replica()  # already finalized
-
-
-def test_trailing_unsealed_components_form_a_replica():
-    engine = BatchedEngine()
-    add_spinning_replica(engine)
-    # no seal after this one: implicit trailing replica
-    a = FlitBuffer("a2", capacity=1)
-    b = FlitBuffer("b2", capacity=1)
-    supply = flits(2)
-    a.push(supply[0])
-    b.push(supply[1])
-    engine.add_component(Pipe(a, b))
-    engine.add_component(Pipe(b, a))
-    assert engine.replicas == 2
-    engine.run(5)
-    assert list(engine.replica_flits) == [10, 10]
 
 
 # ----------------------------------------------------------------------

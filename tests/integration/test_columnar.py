@@ -1,7 +1,7 @@
 """Columnar scheduler integration: determinism, kernel identity, caching.
 
 The columnar engine (``SimulationParams.scheduler="columnar"``) drops
-the byte-identity contract the other four schedulers share: it keeps
+the byte-identity contract the bit-exact schedulers share: it keeps
 all replicas of a point as flat numpy columns and resolves contention
 with masked array ops, so its results are only *statistically*
 equivalent to the object engines (enforced by repro.audit.stat_equiv).
@@ -138,7 +138,7 @@ class TestCacheFidelity:
         base = SimulationParams(batch_cycles=300, batches=3, seed=7)
         payloads_ = {
             scheduler: params_payload(replace(base, scheduler=scheduler))
-            for scheduler in ("compiled", "active", "naive", "batched")
+            for scheduler in ("compiled", "naive")
         }
         assert len({canonical_json(p) for p in payloads_.values()}) == 1
         assert "fidelity" not in payloads_["compiled"]
@@ -159,6 +159,6 @@ class TestCacheFidelity:
 
     def test_bit_exact_round_trip_restores_default_scheduler(self):
         restored = params_from_payload(
-            params_payload(replace(PARAMS, scheduler="batched"))
+            params_payload(replace(PARAMS, scheduler="naive"))
         )
         assert restored.scheduler == "compiled"

@@ -1,15 +1,12 @@
-"""Scheduler equivalence: compiled, active, naive and batched agree.
+"""Scheduler equivalence: compiled and naive agree.
 
-The active-set scheduler (``SimulationParams.scheduler="active"``) skips
-components it can prove idle and fast-forwards the clock over dead
-cycles; the compiled scheduler (the default) additionally flattens the
+The compiled scheduler (the default) skips components it can prove
+idle, fast-forwards the clock over dead cycles, and flattens the
 propose/resolve/commit datapath into finalize-built closures over
 parallel integer columns, eliding per-proposal structural checks its
-component invariants make unreachable; the batched scheduler runs the
-point as a lockstep replica batch over the compiled datapath (here a
-batch of one — multi-replica identity is covered by
-test_batched_replicas.py).  All are only legal if they are
-*behavior-identical* to the full-scan scheduler — the same
+component invariants make unreachable (multi-seed batches are covered
+by test_batched_replicas.py).  That is only legal if it is
+*behavior-identical* to the full-scan ``naive`` scheduler — the same
 ``SimulationResult``, the same random streams, the same flit movements —
 for every topology, switching mode, clock-domain layout and buffer
 shape the simulator supports.  This matrix enforces it, including
@@ -35,7 +32,7 @@ from repro.runtime.serialization import canonical_json, result_payload
 #: wormhole contention, short enough to keep the matrix fast.
 PARAMS = SimulationParams(batch_cycles=350, batches=3, seed=11)
 
-SCHEDULERS = ("compiled", "active", "naive", "batched")
+SCHEDULERS = ("compiled", "naive")
 
 SYSTEMS = [
     pytest.param(RingSystemConfig(topology="8", cache_line_bytes=32), id="ring-1level"),
@@ -91,16 +88,15 @@ def test_schedulers_bit_identical(system, outstanding):
     naive = results["naive"]
 
     # Every measured field, at full float precision.
-    for scheduler in ("compiled", "active", "batched"):
-        fast = results[scheduler]
-        assert fast.cycles == naive.cycles
-        assert fast.flits_moved == naive.flits_moved
-        assert fast.remote_transactions == naive.remote_transactions
-        assert fast.local_transactions == naive.local_transactions
-        assert fast.latency == naive.latency
-        assert fast.local_latency == naive.local_latency
-        assert fast.utilization == naive.utilization
-        assert fast.throughput == naive.throughput
+    fast = results["compiled"]
+    assert fast.cycles == naive.cycles
+    assert fast.flits_moved == naive.flits_moved
+    assert fast.remote_transactions == naive.remote_transactions
+    assert fast.local_transactions == naive.local_transactions
+    assert fast.latency == naive.latency
+    assert fast.local_latency == naive.local_latency
+    assert fast.utilization == naive.utilization
+    assert fast.throughput == naive.throughput
 
     # And byte-identical cached-result JSON: the cache must not be able
     # to tell which scheduler computed a point.

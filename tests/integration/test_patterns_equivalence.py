@@ -4,7 +4,7 @@ The pattern suite reuses the PM draw discipline of the M-MRP selector
 (one ``randrange`` per miss, none for permutation singletons), so the
 byte-identity contract of ``test_kernel_equivalence`` must extend to
 every pattern — including bursty injection, which runs the generic
-(non-fused) PM path under the compiled and batched schedulers.  And a
+(non-fused) PM path under the compiled scheduler.  And a
 pattern run must be a *distinct workload identity*: its canonical
 payload (hence cache key and derived seed) must never collide with a
 plain M-MRP run, while plain M-MRP payloads stay byte-identical to the
@@ -34,7 +34,7 @@ from repro.workload.patterns import PATTERN_NAMES
 
 PARAMS = SimulationParams(batch_cycles=350, batches=3, seed=11)
 
-SCHEDULERS = ("compiled", "active", "naive", "batched")
+SCHEDULERS = ("compiled", "naive")
 
 #: 16 PMs on both fabrics: P = 4^k keeps every bit pattern (and the
 #: ring transpose) valid.
@@ -74,7 +74,7 @@ def test_pattern_schedulers_bit_identical(system, pattern):
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_bursty_schedulers_bit_identical(system):
-    """Bursty runs the generic PM path under compiled/batched; it must
+    """Bursty runs the generic PM path under compiled; it must
     still agree with naive bit for bit."""
     workload = WorkloadConfig(
         miss_rate=0.05, outstanding=4, burst_on=25.0, burst_off=75.0

@@ -10,31 +10,23 @@ structure ring networks and wormhole paths induce.  After one cycle:
   completely full.  (A least-fixed-point/conservative resolver would
   fail this on full cycles, which must rotate.)
 
-Every property runs under all four schedulers ("batched" as a lockstep
-batch of one — the engine used exactly like a plain ``Engine`` forms a
-single implicit replica).  The capacity assertion is load-bearing for
-the compiled datapath specifically: its commit loop elides the per-flit
-overflow check (`FlitBuffer.push`'s raise) on the strength of the
-integer-loop resolver, so an overflow there would corrupt silently
-rather than raise — only this invariant check would catch it.
+Every property runs under both schedulers.  The capacity assertion is
+load-bearing for the compiled datapath specifically: its commit loop
+elides the per-flit overflow check (`FlitBuffer.push`'s raise) on the
+strength of the integer-loop resolver, so an overflow there would
+corrupt silently rather than raise — only this invariant check would
+catch it.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batched import BatchedEngine
 from repro.core.buffers import FlitBuffer
 from repro.core.engine import Component, Engine
 from repro.core.packet import Packet, PacketType
 
-SCHEDULERS = ("compiled", "active", "naive", "batched")
-
-
-def make_engine(scheduler):
-    if scheduler == "batched":
-        return BatchedEngine()
-    return Engine(scheduler=scheduler)
+SCHEDULERS = ("compiled", "naive")
 
 
 class Pipe(Component):
@@ -82,7 +74,7 @@ def test_one_cycle_is_safe_and_maximal(scheduler, graph):
         for i in range(n)
         if edge_mask[i] and permutation[i] != i
     ]
-    engine = make_engine(scheduler)
+    engine = Engine(scheduler=scheduler)
     for src, dst in edges:
         engine.add_component(Pipe(buffers[src], buffers[dst]))
 
@@ -130,7 +122,7 @@ def test_full_cycle_always_rotates(scheduler, length, capacity):
     for buffer in buffers:
         for _ in range(capacity):
             buffer.push(next(supply))
-    engine = make_engine(scheduler)
+    engine = Engine(scheduler=scheduler)
     for i in range(length):
         engine.add_component(Pipe(buffers[i], buffers[(i + 1) % length]))
     heads = [buffer.peek() for buffer in buffers]

@@ -1,5 +1,6 @@
 """End-to-end tests: a real service in a thread, driven over HTTP."""
 
+import socket
 import threading
 
 import pytest
@@ -150,6 +151,40 @@ class TestBadRequests:
         with pytest.raises(ServiceError) as excinfo:
             client.job_status("job-424242")
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("scheduler", ("active", "batched"))
+    def test_retired_scheduler_is_400(self, service, scheduler):
+        __, client = service
+        payload = _payload(seed=41)
+        payload["params"]["scheduler"] = scheduler
+        with pytest.raises(ServiceError) as excinfo:
+            client.run_point(payload)
+        assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            pytest.param(
+                b"POST /points HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+                id="non-numeric-length",
+            ),
+            pytest.param(
+                b"POST /points HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+                id="negative-length",
+            ),
+            pytest.param(b"GARBAGE\r\n\r\n", id="malformed-request-line"),
+        ],
+    )
+    def test_malformed_head_is_400_and_closes(self, service, head):
+        svc, __ = service
+        with socket.create_connection(("127.0.0.1", svc.port), timeout=10) as sock:
+            sock.sendall(head)
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        status_line, __, rest = response.partition(b"\r\n")
+        assert status_line == b"HTTP/1.1 400 Bad Request"
+        assert b"Connection: close" in rest
 
 
 class TestThunderingHerd:
