@@ -5,8 +5,8 @@ short arrays, so at the 8-replica bench scale it is *dispatch*-bound:
 the arithmetic is trivial but every masked gather/scatter pays ~1µs of
 interpreter and ufunc overhead.  This module removes that floor when a
 C toolchain is present: the same flat int64/uint8/float64 state arrays
-are handed to a small C kernel (compiled once per process with the
-system ``cc`` and bound through :mod:`ctypes`) that runs the identical
+are handed to a small C kernel (built with the system ``cc`` and bound
+through :mod:`ctypes`) that runs the identical
 propose/resolve/commit/update cycle as plain loops.
 
 The kernel is an *accelerator, not a second model*: it iterates ports,
@@ -17,22 +17,40 @@ this).  Statistical equivalence versus ``compiled`` is therefore
 established once, at the columnar-model level, by
 :mod:`repro.audit.stat_equiv` — the kernel inherits it.
 
-Gating: compilation is attempted lazily on first use and never raises —
-any failure (no compiler, sandboxed filesystem, unsupported platform)
-marks the kernel unavailable and the engine silently keeps its numpy
-path.  Set ``REPRO_COLUMNAR_KERNEL=0`` to force the numpy path, e.g.
+Build cache: the ``.so`` is built once per host, not once per process.
+It lives at ``<tempfile.gettempdir()>/repro-ckernel-<uid>/kernel-<key>.so``
+(so ``TMPDIR`` moves it), where ``<key>`` is a sha256 over the C source,
+the compiler's real path and ``--version`` output, the flags and
+``sys.platform``.  The directory is created with mode ``0700`` and
+checked with ``lstat`` before any use: it must be a real directory
+owned by this user with no group or world bits, otherwise the cache is
+skipped and the kernel is built in a private temporary directory, as if
+no cache existed -- a ``.so`` planted in a shared ``/tmp`` is never
+loaded.  A build happens in a temporary directory inside the cache and
+is renamed into place atomically, so racing pool workers at worst both
+build; a cached file that fails to load is rebuilt and replaced.
+
+Gating: loading is attempted lazily on first use in a process and never
+raises -- any failure (no compiler, a failing or timed-out ``cc``,
+unsupported platform) marks the kernel unavailable, logs one WARNING
+through :mod:`logging`, and the engine keeps its numpy path.  Set
+``REPRO_COLUMNAR_KERNEL=0`` to force the numpy path silently, e.g.
 when profiling it or reproducing kernel-off CI lanes.
 """
 
 from __future__ import annotations
 
 import ctypes
+import hashlib
+import logging
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
 import threading
+from typing import Sequence
 
 __all__ = ["available", "load", "PTR", "KS", "PRM"]
 
@@ -675,6 +693,11 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
 _lock = threading.Lock()
 _lib: ctypes.CDLL | None = None
 _tried = False
+_log = logging.getLogger(__name__)
+
+#: Compiler flags; part of the cache key.
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+_CC_TIMEOUT_SEC = 120
 
 
 def _disabled() -> bool:
@@ -686,40 +709,159 @@ def _disabled() -> bool:
     )
 
 
-def _compile() -> ctypes.CDLL | None:
-    cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
-    if cc is None or not sys.platform.startswith(("linux", "darwin")):
-        return None
-    tmpdir = tempfile.mkdtemp(prefix="repro-ckernel-")
+def _find_cc() -> str | None:
+    return shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+
+
+def _cache_key(cc: str, flags: Sequence[str]) -> str:
+    """Content address of one build: source, compiler identity, flags, OS."""
     try:
-        src = os.path.join(tmpdir, "kernel.c")
-        so = os.path.join(tmpdir, "kernel.so")
-        with open(src, "w", encoding="utf-8") as fh:
-            fh.write(_SOURCE)
-        proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", so, src],
-            capture_output=True,
-            timeout=120,
+        version = subprocess.run(
+            [cc, "--version"], capture_output=True, timeout=_CC_TIMEOUT_SEC
+        ).stdout
+    except (OSError, subprocess.SubprocessError):
+        version = b""
+    digest = hashlib.sha256()
+    for part in (
+        _SOURCE.encode("utf-8"),
+        os.path.realpath(cc).encode("utf-8"),
+        version,
+        "\0".join(flags).encode("utf-8"),
+        sys.platform.encode("utf-8"),
+    ):
+        digest.update(len(part).to_bytes(8, "little"))
+        digest.update(part)
+    return digest.hexdigest()
+
+
+def _cache_dir() -> str | None:
+    """The per-user cache directory, or ``None`` if it cannot be trusted.
+
+    Trusted means: a real directory (not a symlink), owned by this user,
+    with no group or world permission bits.  Anything else -- another
+    user's planted directory in a shared ``/tmp``, a loosened mode --
+    is never read from or written to.
+    """
+    path = os.path.join(tempfile.gettempdir(), f"repro-ckernel-{os.getuid()}")
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+    except OSError:
+        pass  # judged by the lstat below
+    st: os.stat_result | None
+    try:
+        st = os.lstat(path)
+    except OSError:
+        st = None
+    if (
+        st is None
+        or not stat.S_ISDIR(st.st_mode)
+        or st.st_uid != os.getuid()
+        or st.st_mode & 0o077
+    ):
+        _log.info(
+            "columnar kernel cache directory %s is not a private directory "
+            "of this user; building the kernel privately instead",
+            path,
         )
-        if proc.returncode != 0:
-            return None
-        lib = ctypes.CDLL(so)
+        return None
+    return path
+
+
+def _bind(path: str) -> ctypes.CDLL | None:
+    try:
+        lib = ctypes.CDLL(path)
         lib.step_cycles.restype = ctypes.c_long
         lib.step_cycles.argtypes = [
             ctypes.POINTER(ctypes.c_void_p),
             ctypes.POINTER(ctypes.c_int64),
             ctypes.c_int64,
         ]
-        return lib
-    except (OSError, subprocess.SubprocessError):
+    except OSError:
         return None
+    return lib
+
+
+def _build(cc: str, workdir: str) -> str | None:
+    """Compile the kernel inside *workdir*; the ``.so`` path, or ``None``."""
+    src = os.path.join(workdir, "kernel.c")
+    so = os.path.join(workdir, "kernel.so")
+    with open(src, "w", encoding="utf-8") as fh:
+        fh.write(_SOURCE)
+    try:
+        proc = subprocess.run(
+            [cc, *_CFLAGS, "-o", so, src],
+            capture_output=True,
+            timeout=_CC_TIMEOUT_SEC,
+        )
+    except subprocess.TimeoutExpired:
+        _log.warning(
+            "columnar kernel build timed out after %d s; using the numpy path",
+            _CC_TIMEOUT_SEC,
+        )
+        return None
+    if proc.returncode != 0:
+        tail = proc.stderr.decode("utf-8", "replace").strip().splitlines()[-5:]
+        _log.warning(
+            "columnar kernel build failed (%s exited %d); using the numpy path:\n%s",
+            cc,
+            proc.returncode,
+            "\n".join(tail),
+        )
+        return None
+    return so
+
+
+def _build_and_bind(cc: str, parent: str | None, dest: str | None) -> ctypes.CDLL | None:
+    """Build in a fresh directory under *parent* and load the result.
+
+    With *dest* set the loaded ``.so`` is then renamed onto it: the
+    rename is atomic, so racing processes at worst both build and no
+    reader ever sees a partial file.  The mapping stays valid after the
+    build directory is removed on ELF platforms.
+    """
+    workdir = tempfile.mkdtemp(prefix="repro-ckernel-build-", dir=parent)
+    try:
+        so = _build(cc, workdir)
+        if so is None:
+            return None
+        lib = _bind(so)
+        if lib is None:
+            _log.warning("columnar kernel built but failed to load; using the numpy path")
+            return None
+        if dest is not None:
+            try:
+                os.replace(so, dest)
+            except OSError:
+                pass  # the kernel is loaded; only the cache write is lost
+        return lib
     finally:
-        # The mapping stays valid after the unlink on ELF platforms.
-        shutil.rmtree(tmpdir, ignore_errors=True)
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def _compile() -> ctypes.CDLL | None:
+    cc = _find_cc()
+    if cc is None:
+        _log.warning("no C compiler (cc/gcc/clang) found; columnar kernel uses the numpy path")
+        return None
+    if not sys.platform.startswith(("linux", "darwin")):
+        _log.warning(
+            "columnar kernel is not supported on %s; using the numpy path", sys.platform
+        )
+        return None
+    try:
+        cache = _cache_dir()
+        if cache is None:
+            return _build_and_bind(cc, None, None)
+        dest = os.path.join(cache, f"kernel-{_cache_key(cc, _CFLAGS)}.so")
+        # Missing or unloadable (truncated, corrupt): rebuild and replace.
+        return _bind(dest) or _build_and_bind(cc, cache, dest)
+    except OSError as exc:
+        _log.warning("columnar kernel build failed (%s); using the numpy path", exc)
+        return None
 
 
 def load() -> ctypes.CDLL | None:
-    """Compile (once per process) and return the kernel, or ``None``."""
+    """Load (building at most once per host) and return the kernel, or ``None``."""
     global _lib, _tried
     if _disabled():
         return None

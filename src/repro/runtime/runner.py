@@ -5,8 +5,10 @@
 * serves points from the on-disk :class:`~repro.runtime.cache.ResultCache`
   when one is active,
 * fans the remaining points across a :class:`~concurrent.futures.ProcessPoolExecutor`
-  when more than one job is requested (results are collected by index,
-  so output order always matches input order regardless of completion
+  when more than one job is requested, submitting the costliest points
+  (processors x simulated cycles) first so the batch ends near its
+  ideal makespan (results are collected by index, so output order
+  always matches input order regardless of submission or completion
   order), and
 * invokes a progress hook after every completed point.
 
@@ -173,6 +175,11 @@ def _pool(workers: int, cache: ResultCache | None) -> ProcessPoolExecutor:
         initializer=prime_code_version_salt,
         initargs=(salt,),
     )
+
+
+def _cost(spec: PointSpec) -> int:
+    """Relative run time of a point: processors x simulated cycles."""
+    return spec.system.processors * spec.params.batches * spec.params.batch_cycles
 
 
 def _execute(spec: PointSpec) -> SimulationResult:
@@ -349,8 +356,11 @@ def run_points(
         for index in pending:
             _record(index, _execute(specs[index]))
     elif pending:
+        # Largest point first, so no worker is left idle at the end of
+        # the batch while the biggest point, listed last, still runs.
+        order = sorted(pending, key=lambda i: (-_cost(specs[i]), i))
         with _pool(min(jobs, len(pending)), active_cache) as pool:
-            futures = {pool.submit(_execute, specs[i]): i for i in pending}
+            futures = {pool.submit(_execute, specs[i]): i for i in order}
             for future in as_completed(futures):
                 _record(futures[future], future.result())
 

@@ -60,10 +60,21 @@ DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8650
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Header lines accepted per request; one more answers 431.  (Each line
+#: is separately capped at the stream reader's 64 KiB limit.)
+_MAX_HEADERS = 100
+#: How long a connection closed after a head error keeps discarding
+#: the client's unread input: closing with unread input sends a reset,
+#: which can destroy the error response before the client reads it.
+_LINGER_SEC = 1.0
 
 
 class BadRequest(Exception):
     """Client error carried to an HTTP 400 response."""
+
+
+class HeaderTooLarge(BadRequest):
+    """An oversized head line or too many header lines — HTTP 431."""
 
 
 class Gone(Exception):
@@ -129,6 +140,7 @@ class SweepService:
         self._point_slots = asyncio.Semaphore(self.pools.total_workers * 4)
         self._server: "asyncio.base_events.Server | None" = None
         self._runners: "list[asyncio.Task[None]]" = []
+        self._connections: "set[asyncio.Task[Any]]" = set()
         self._stopping = asyncio.Event()
         # Host wall-clock for uptime reporting only.
         self._started = time.monotonic()  # repro: noqa[RPR002]
@@ -164,6 +176,11 @@ class SweepService:
     async def _shutdown(self) -> None:
         if self._server is not None:
             self._server.close()
+            # Idle keep-alive handlers would otherwise outlive the loop
+            # (and newer asyncio's wait_closed waits for them).
+            for task in self._connections:
+                task.cancel()
+            await asyncio.gather(*self._connections, return_exceptions=True)
             await self._server.wait_closed()
         await self.queue.close()
         if self._runners:
@@ -178,14 +195,19 @@ class SweepService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._connections.add(task)
         try:
             while True:
                 try:
                     request = await self._read_request(reader)
                 except BadRequest as exc:
-                    # A malformed head leaves the stream position unknown:
+                    # A bad head leaves the stream position unknown:
                     # answer once, then drop the connection.
-                    await self._respond_json(writer, 400, {"error": str(exc)}, False)
+                    status = 431 if isinstance(exc, HeaderTooLarge) else 400
+                    await self._respond_json(writer, status, {"error": str(exc)}, False)
+                    await self._discard_input(reader, writer)
                     break
                 if request is None:
                     break
@@ -212,7 +234,14 @@ class SweepService:
                     break
         except (asyncio.IncompleteReadError, ConnectionResetError):
             pass
+        except asyncio.CancelledError:
+            # Only _shutdown cancels these tasks (or loop teardown, after
+            # it).  Ending normally rather than cancelled keeps asyncio's
+            # connection callback (before 3.12) from logging a traceback.
+            pass
         finally:
+            if task is not None:
+                self._connections.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -222,7 +251,7 @@ class SweepService:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> "tuple[str, str, dict[str, str], bytes] | None":
-        line = await reader.readline()
+        line = await self._read_head_line(reader)
         if not line:
             return None
         parts = line.decode("latin-1").strip().split()
@@ -230,10 +259,14 @@ class SweepService:
             raise BadRequest(f"malformed request line: {line!r}")
         method, target, __version = parts
         headers: dict[str, str] = {}
+        count = 0
         while True:
-            raw = await reader.readline()
+            raw = await self._read_head_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
+            count += 1
+            if count > _MAX_HEADERS:
+                raise HeaderTooLarge(f"more than {_MAX_HEADERS} header lines")
             name, __, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         raw_length = headers.get("content-length", "0") or "0"
@@ -245,6 +278,30 @@ class SweepService:
             raise BadRequest(f"unacceptable content-length: {length}")
         body = await reader.readexactly(length) if length else b""
         return method, target, headers, body
+
+    @staticmethod
+    async def _read_head_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:  # a line past the reader's limit
+            raise HeaderTooLarge("request head line too long") from None
+
+    @staticmethod
+    async def _discard_input(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Half-close, then drain the client's input until its EOF, for
+        at most ``_LINGER_SEC``."""
+        if writer.can_write_eof():
+            writer.write_eof()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + _LINGER_SEC
+        try:
+            while (remaining := deadline - loop.time()) > 0:
+                if not await asyncio.wait_for(reader.read(65536), remaining):
+                    break
+        except (asyncio.TimeoutError, ConnectionError):
+            pass  # the connection is closed next either way
 
     async def _respond(
         self,
@@ -258,7 +315,8 @@ class SweepService:
     ) -> None:
         reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
                   404: "Not Found", 405: "Method Not Allowed",
-                  410: "Gone", 500: "Internal Server Error"}.get(status, "OK")
+                  410: "Gone", 431: "Request Header Fields Too Large",
+                  500: "Internal Server Error"}.get(status, "OK")
         head = [
             f"HTTP/1.1 {status} {reason}",
             f"Content-Type: {content_type}",

@@ -1,6 +1,9 @@
 """Tests for the parallel point runner: ordering, caching, determinism."""
 
 import json
+import tempfile
+from dataclasses import replace
+from concurrent.futures import Future
 
 import pytest
 
@@ -8,6 +11,7 @@ from repro.core.config import RingSystemConfig, SimulationParams, WorkloadConfig
 from repro.core.errors import ConfigurationError
 from repro.experiments._shared import clear_sweep_caches
 from repro.experiments.base import Scale, get_experiment
+from repro.experiments.cli import main as experiments_main
 from repro.runtime import (
     PointSpec,
     Progress,
@@ -17,6 +21,7 @@ from repro.runtime import (
     run_points,
     runtime_context,
 )
+from repro.runtime import runner
 from repro.runtime.serialization import result_payload
 
 WORKLOAD = WorkloadConfig(locality=1.0, miss_rate=0.1, outstanding=4)
@@ -70,6 +75,84 @@ class TestRunPoints:
         result = run_point(SPECS[0], cache=cache)
         assert result.system.processors == 3
         assert cache.entry_count() == 1
+
+
+class _RecordingExecutor:
+    """Runs each submission inline and records the submission order."""
+
+    def __init__(self, submitted):
+        self.submitted = submitted
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, spec):
+        self.submitted.append(spec)
+        future = Future()
+        future.set_result(fn(spec))
+        return future
+
+
+class TestLargestFirstDispatch:
+    def test_pool_submits_descending_cost_ties_in_input_order(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        long_run = SimulationParams(batch_cycles=1000, batches=2, seed=7)
+        specs = [
+            PointSpec.of(RingSystemConfig(topology=(3,)), WORKLOAD, PARAMS),  # 600
+            PointSpec.of(RingSystemConfig(topology=(6,)), WORKLOAD, PARAMS),  # 1200
+            PointSpec.of(RingSystemConfig(topology=(4,)), WORKLOAD, PARAMS),  # 800
+            PointSpec.of(RingSystemConfig(topology=(6,)), WORKLOAD, PARAMS),  # 1200
+            PointSpec.of(RingSystemConfig(topology=(3,)), WORKLOAD, long_run),  # 6000
+        ]
+        submitted: list[PointSpec] = []
+        monkeypatch.setattr(
+            runner, "_pool", lambda workers, cache: _RecordingExecutor(submitted)
+        )
+        results = run_points(specs, jobs=2, cache=None)
+        # The two identical 6-processor specs coalesce onto the first.
+        assert submitted == [specs[4], specs[1], specs[2], specs[0]]
+        assert [runner._cost(s) for s in submitted] == [6000, 1200, 800, 600]
+        assert [r.system.processors for r in results] == [3, 6, 4, 6, 3]
+        assert _payloads(results) == _payloads(run_points(specs, jobs=1, cache=None))
+
+    def test_cost_ties_keep_input_order(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        specs = [
+            PointSpec.of(RingSystemConfig(topology=(4,)), WORKLOAD, replace(PARAMS, seed=s))
+            for s in (3, 1, 2)
+        ]
+        submitted: list[PointSpec] = []
+        monkeypatch.setattr(
+            runner, "_pool", lambda workers, cache: _RecordingExecutor(submitted)
+        )
+        run_points(specs, jobs=2, cache=None)
+        assert submitted == specs
+
+    def test_fig12_columnar_serial_and_parallel_json_identical(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        pytest.importorskip("numpy")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        texts = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            clear_sweep_caches()
+            status = experiments_main(
+                ["fig12", "--scale", "quick", "--scheduler", "columnar",
+                 "--jobs", jobs, "--no-cache", "--allow-saturated",
+                 "--json", str(out)]
+            )
+            assert status == 0
+            texts.append((out / "fig12_quick.json").read_bytes())
+        clear_sweep_caches()
+        capsys.readouterr()
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["series"]
 
 
 class TestJobResolution:

@@ -1,5 +1,6 @@
 """End-to-end tests: a real service in a thread, driven over HTTP."""
 
+import asyncio
 import socket
 import threading
 
@@ -177,14 +178,84 @@ class TestBadRequests:
     )
     def test_malformed_head_is_400_and_closes(self, service, head):
         svc, __ = service
-        with socket.create_connection(("127.0.0.1", svc.port), timeout=10) as sock:
-            sock.sendall(head)
-            response = b""
-            while chunk := sock.recv(4096):
-                response += chunk
-        status_line, __, rest = response.partition(b"\r\n")
+        status_line, rest = _raw_exchange(svc.port, head)
         assert status_line == b"HTTP/1.1 400 Bad Request"
         assert b"Connection: close" in rest
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            pytest.param(
+                b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+                id="oversized-request-line",
+            ),
+            pytest.param(
+                b"GET /healthz HTTP/1.1\r\nX-Big: " + b"b" * 70_000 + b"\r\n\r\n",
+                id="oversized-header-line",
+            ),
+            pytest.param(
+                b"GET /healthz HTTP/1.1\r\n"
+                + b"".join(b"X-H%d: v\r\n" % i for i in range(101))
+                + b"\r\n",
+                id="too-many-headers",
+            ),
+        ],
+    )
+    def test_oversized_head_is_431_and_closes(self, service, head):
+        svc, client = service
+        status_line, rest = _raw_exchange(svc.port, head)
+        assert status_line == b"HTTP/1.1 431 Request Header Fields Too Large"
+        assert b"Connection: close" in rest
+        assert client.healthz()["status"] == "ok"
+
+    def test_header_count_at_the_cap_is_accepted(self, service):
+        svc, __ = service
+        head = (
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
+            + b"".join(b"X-H%d: v\r\n" % i for i in range(99))
+            + b"\r\n"
+        )
+        status_line, __ = _raw_exchange(svc.port, head)
+        assert status_line == b"HTTP/1.1 200 OK"
+
+
+def _raw_exchange(port, head):
+    """Send raw bytes; return the status line and the rest of the reply."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(head)
+        response = b""
+        while chunk := sock.recv(4096):
+            response += chunk
+    status_line, __, rest = response.partition(b"\r\n")
+    return status_line, rest
+
+
+class TestShutdown:
+    def test_idle_keep_alive_connection_closes_quietly(self):
+        """Stopping with an idle keep-alive connection open reports nothing
+        to the loop's exception handler, through loop teardown."""
+        recorded = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda __, context: recorded.append(context))
+            svc = SweepService(
+                "127.0.0.1", 0, shards=1, workers_per_shard=1, cache=None,
+                mem=MemCache(), job_workers=1,
+            )
+            await svc.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", svc.port)
+            writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+            await writer.drain()
+            assert await reader.readline() == b"HTTP/1.1 200 OK\r\n"
+            await svc.stop()
+            await asyncio.wait_for(svc._shutdown(), timeout=30)
+            # The server closed its end: the idle client sees EOF.
+            await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+
+        asyncio.run(main())
+        assert recorded == []
 
 
 class TestThunderingHerd:
